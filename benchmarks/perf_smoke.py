@@ -20,9 +20,10 @@ event-driven core (skip-ahead + bursts) on an MLP-limited configuration
 modes asserted cycle-identical before either is timed.
 
 Three further sections time the array-native profiling front end
-(PR 9) against its scalar oracles: the per-strategy stream generators
-(``stream_gen``), the vectorized codec size models (``codec_sizing``),
-and a full ``profile_iteration`` vs ``profile_iteration_scalar`` run
+against its scalar oracles (``tests/oracles/scalar.py``): the
+per-strategy stream generators (``stream_gen``), the vectorized codec
+size models (``codec_sizing``), and the staged pipeline's stages on a
+one-iteration workload vs ``profile_iteration_scalar``
 (``profile_iteration`` — the end-to-end proxy for full-report
 wall-clock).  Each is asserted bit-identical before timing.
 
@@ -54,6 +55,7 @@ import json
 import platform
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -72,12 +74,11 @@ from repro.engine import (
 from repro.graph import CompressedCsr, community_graph
 from repro.memory import AddressSpace, FastLruCache
 from repro.obs import TRACER, summarize_spans
-from repro.runtime.traffic import (
-    _lru_scatter,
-    _phi_coalesce,
-    lru_scatter_replay,
-    phi_coalesce_replay,
-)
+from repro.runtime.traffic import lru_scatter_replay, phi_coalesce_replay
+
+# The scalar oracles live with the tests that hold the kernels to them.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles import scalar as so  # noqa: E402
 
 #: Minimum acceptable speedup for the binned Push destination-scatter
 #: replay (the profiling hot path).
@@ -140,7 +141,7 @@ def timeit(fn, repeats=3):
 
 def bench_scatter(streams, capacity):
     scalar_s, scalar_out = timeit(
-        lambda: [_lru_scatter(s, capacity) for s in streams])
+        lambda: [so.lru_scatter_oracle(s, capacity) for s in streams])
     batch_s, batch_out = timeit(
         lambda: [lru_scatter_replay(s, capacity) for s in streams])
     assert scalar_out == batch_out, "scatter replay diverged"
@@ -165,7 +166,7 @@ def bench_phi_coalesce(streams, capacity):
             out.append(fn(dsts, values, 4, capacity))
         return out
 
-    scalar_s, scalar_out = timeit(lambda: run(_phi_coalesce))
+    scalar_s, scalar_out = timeit(lambda: run(so.phi_coalesce_oracle))
     batch_s, batch_out = timeit(lambda: run(phi_coalesce_replay))
     for (ia, va, la), (ib, vb, lb) in zip(scalar_out, batch_out):
         assert np.array_equal(ia, ib) and np.array_equal(va, vb) \
@@ -320,12 +321,12 @@ def bench_stream_gen():
                 ta.pull_gather_lines(d, 4))
 
     def slow():
-        d = ta.gather_row_stream_scalar(graph.offsets, graph.neighbors,
+        d = so.gather_row_stream_scalar(graph.offsets, graph.neighbors,
                                         degrees, sources,
                                         graph.num_vertices)
-        return (d, ta.push_scatter_lines_scalar(d, 4),
-                ta.ub_bin_stream_scalar(d, values, vpb),
-                ta.pull_gather_lines_scalar(d, 4))
+        return (d, so.push_scatter_lines_scalar(d, 4),
+                so.ub_bin_stream_scalar(d, values, vpb),
+                so.pull_gather_lines_scalar(d, 4))
 
     f, s = fast(), slow()
     assert np.array_equal(f[0], s[0]) and np.array_equal(f[1], s[1]) \
@@ -384,32 +385,39 @@ def bench_codec_sizing(elems=32_768):
 
 
 def bench_profile_iteration():
-    """Full-report proxy: one vectorized vs scalar iteration profile.
+    """Full-report proxy: one staged vs scalar iteration profile.
 
-    ``profile_iteration`` is the per-cell unit of every figure's
-    full-report sweep; the scalar oracle rebuilds the identical
-    ``IterationProfile`` vertex by vertex.  Equality is asserted first,
-    then each side is timed (the scalar side once — it is the slow
-    leg by design).
+    One iteration's profile is the per-cell unit of every figure's
+    full-report sweep.  The staged side runs the pipeline's stream,
+    replay, compress and assemble stages
+    (:func:`repro.stages.profile_bundle`) on a one-iteration workload;
+    the scalar oracle rebuilds the identical ``IterationProfile``
+    vertex by vertex.  Equality is asserted first, then each side is
+    timed (the scalar side once — it is the slow leg by design).
     """
+    from dataclasses import replace
+
     from repro.apps import pagerank
     from repro.config import SystemConfig
-    from repro.runtime import ModelConfig, profile_iteration
-    from repro.runtime import traffic_array as ta
+    from repro.runtime import ModelConfig
+    from repro.stages import profile_bundle
 
     graph = community_graph(4000, 52_000, seed_stream="perf9-profile")
     workload = pagerank.build_workload(graph)
     cfg = ModelConfig(system=SystemConfig().scaled(4096), id_scale=4096)
     iteration = workload.iterations[0]
+    workload = replace(workload, iterations=[iteration])
 
-    fast = profile_iteration(workload, iteration, cfg)
-    slow = ta.profile_iteration_scalar(workload, iteration, cfg)
+    def staged():
+        return profile_bundle(workload, cfg).profiles[0]
+
+    fast = staged()
+    slow = so.profile_iteration_scalar(workload, iteration, cfg)
     assert fast == slow, "scalar profile oracle diverged"
     scalar_s, _ = timeit(
-        lambda: ta.profile_iteration_scalar(workload, iteration, cfg),
+        lambda: so.profile_iteration_scalar(workload, iteration, cfg),
         repeats=1)
-    batch_s, _ = timeit(
-        lambda: profile_iteration(workload, iteration, cfg))
+    batch_s, _ = timeit(staged)
     return {
         "vertices": graph.num_vertices,
         "edges": graph.num_edges,

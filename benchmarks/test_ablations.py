@@ -17,7 +17,7 @@ from conftest import run_once
 
 from repro.graph import load_preprocessed
 from repro.runtime import chunked_ids_values_compressed, \
-    rows_compressed_bytes
+    rows_compressed_bytes_from
 
 
 def _update_stream(runner, dataset="ukl"):
@@ -99,14 +99,14 @@ def test_ablation_id_expansion(benchmark, runner, report):
     'compression barely helps Push' anchor."""
     from repro.harness import ExperimentResult
     graph = load_preprocessed("ukl", "none", runner.scale)
-    every = np.arange(graph.num_vertices)
     raw = graph.num_edges * 4
 
     def measure():
         rows = []
         for scale, label in ((1, "model ids (no expansion)"),
                              (runner.scale, "virtual paper-scale ids")):
-            size = rows_compressed_bytes(graph, every, scale)
+            size = rows_compressed_bytes_from(
+                graph.neighbors, graph.out_degrees(), scale)
             rows.append({"ids": label, "ratio": raw / max(1, size)})
         return ExperimentResult(
             "ablation-idspace", "Randomized-graph adjacency compression "

@@ -14,7 +14,10 @@ import time
 import numpy as np
 
 from repro.graph import load, preprocess
-from repro.runtime.traffic import _lru_scatter, rows_compressed_bytes
+from repro.runtime.traffic import (
+    lru_scatter_replay,
+    rows_compressed_bytes_from,
+)
 
 
 def main():
@@ -28,11 +31,11 @@ def main():
         start = time.time()
         graph = preprocess(base, method)
         elapsed = time.time() - start
-        compressed = rows_compressed_bytes(
-            graph, np.arange(graph.num_vertices), 4096)
+        compressed = rows_compressed_bytes_from(
+            graph.neighbors, graph.out_degrees(), 4096)
         ratio = graph.num_edges * 4 / compressed
-        misses, _wb = _lru_scatter(graph.neighbors.astype(np.int64) // 16,
-                                   capacity)
+        misses, _wb = lru_scatter_replay(
+            graph.neighbors.astype(np.int64) // 16, capacity)
         miss_rate = misses / graph.num_edges
         print(f"{method:10s} {ratio:15.2f}x {miss_rate:15.2f} "
               f"{elapsed:12.2f}s")

@@ -61,6 +61,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.config import DEFAULT_SCALE
 from repro.jobs.cache import DEFAULT_CACHE_DIR
 
 
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment",
                                 help="run one table/figure experiment")
     experiment.add_argument("id")
-    experiment.add_argument("--scale", type=int, default=4096)
+    experiment.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     experiment.add_argument("--perf", action="store_true",
                             help="print per-stage profiling to stderr")
     experiment.add_argument("--trace", default=None, metavar="PATH",
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--scheme", default="phi+spzip")
     simulate.add_argument("--dataset", default="ukl")
     simulate.add_argument("--preprocessing", default="none")
-    simulate.add_argument("--scale", type=int, default=4096)
+    simulate.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     simulate.add_argument("--perf", action="store_true",
                           help="print per-stage profiling to stderr")
     simulate.add_argument("--trace", default=None, metavar="PATH",
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report",
                             help="run all experiments, emit markdown")
     report.add_argument("--out", default=None)
-    report.add_argument("--scale", type=int, default=4096)
+    report.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     report.add_argument("--experiments", nargs="*", default=None)
     report.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes (1 = in-process)")
@@ -463,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "company before dispatching")
     serve.add_argument("--batch-max", type=_positive_int, default=16,
                        help="cells per execute_group dispatch ceiling")
-    serve.add_argument("--scale", type=int, default=4096)
+    serve.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     serve.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                        help="on-disk tier of the result store")
     serve.add_argument("--no-cache", action="store_true",
@@ -502,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="run the functional fetcher")
     traverse.add_argument("--dataset", default="ukl")
     traverse.add_argument("--rows", type=int, default=500)
-    traverse.add_argument("--scale", type=int, default=4096)
+    traverse.add_argument("--scale", type=int, default=DEFAULT_SCALE)
 
     return parser
 

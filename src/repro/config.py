@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 #: Linear scale-down factor between the paper's inputs and our synthetic
-#: stand-ins (see DESIGN.md section 5).
-DEFAULT_SCALE = 1024
+#: stand-ins (see DESIGN.md section 5).  The one default for datasets,
+#: the co-scaled system, the runners and every CLI ``--scale``.
+DEFAULT_SCALE = 4096
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
+from repro.config import DEFAULT_SCALE
 from repro.graph.csr import CsrGraph
 from repro.graph.delta import GraphDelta, MutableGraphHandle
 from repro.graph.generators import banded_matrix, community_graph, rmat
 from repro.graph.preprocess import preprocess
 from repro.graph.shared import active_graph_store, cached_graph
-
-DEFAULT_SCALE = 4096
 
 #: Separator between a base dataset name and a delta-lineage version
 #: tag: ``ukl@4c1fd2e09a8b77c3`` names the mutated instance of ``ukl``.

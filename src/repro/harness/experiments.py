@@ -296,13 +296,12 @@ def fig18_preprocessing(runner: Runner,
             rows.append(row)
             bases[scheme] = row["total"]
         # Adjacency compression ratio this preprocessing achieves.
-        from repro.runtime.traffic import rows_compressed_bytes
-        import numpy as np
-        workload = runner.workload("pr", dataset, preprocessing)
-        graph = workload.graph
-        comp = rows_compressed_bytes(graph,
-                                     np.arange(graph.num_vertices),
-                                     runner.scale)
+        from repro.graph.datasets import load_preprocessed
+        from repro.runtime.traffic import rows_compressed_bytes_from
+        graph = load_preprocessed(dataset, preprocessing, runner.scale)
+        comp = rows_compressed_bytes_from(graph.neighbors,
+                                          graph.out_degrees(),
+                                          runner.scale)
         rows[-1]["adj_compression"] = graph.num_edges * 4 / comp
     return ExperimentResult(
         "fig18", f"Traffic on {dataset} by preprocessing algorithm, "

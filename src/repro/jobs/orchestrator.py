@@ -11,18 +11,21 @@ changes is where results come from:
    to the same store, which reuses any frozen stage artifacts and then
    populates the cell-level cache.
 
-Profile-level helpers (``workload``/``profiles``) stay inherited and
-in-process: experiments that inspect raw profiles (fig18's compression
-column, fig21, sorting) still work unchanged.
+Steps 2 and 3 — and the inherited ``profiles`` — run on the job
+executor's per-process pricer (:func:`repro.jobs.executor._pricer_for`),
+the same one in-process groups price on: ``sorting`` reads the bundles
+the prefetch already assembled instead of re-profiling.  ``workload``
+stays inherited for experiments that inspect a workload directly
+(fig18's compression column, fig21).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional
 
-from repro.config import SystemConfig
+from repro.config import DEFAULT_SCALE, SystemConfig
 from repro.jobs.cache import NullCache, ResultCache, StoreConfig
-from repro.jobs.executor import JobExecutor
+from repro.jobs.executor import JobExecutor, _pricer_for
 from repro.jobs.fingerprint import job_fingerprint
 from repro.jobs.model import (
     RunRequest,
@@ -42,7 +45,7 @@ from repro.sim.runner import Runner
 class JobRunner(Runner):
     """Memoizing runner whose results flow through the job layer."""
 
-    def __init__(self, scale: int = None,  # type: ignore[assignment]
+    def __init__(self, scale: int = DEFAULT_SCALE,
                  system: Optional[SystemConfig] = None,
                  jobs: int = 1,
                  cache_dir: Optional[str] = None,
@@ -52,16 +55,11 @@ class JobRunner(Runner):
                  progress: Optional[Callable[[str], None]] = None,
                  partitions: int = 1
                  ) -> None:
-        if scale is None:
-            from repro.graph.datasets import DEFAULT_SCALE
-            scale = DEFAULT_SCALE
         super().__init__(scale=scale, system=system)
         self.jobs = jobs
         self.partitions = partitions
         self.cache = ResultCache(cache_dir) if cache_dir else \
             NullCache()
-        self.store = StoreConfig.from_cache(
-            self.cache, stream_partitions=partitions)
         if telemetry_path is None and cache_dir:
             telemetry_path = default_telemetry_path(cache_dir)
         self.telemetry_path = telemetry_path
@@ -70,7 +68,15 @@ class JobRunner(Runner):
         self.progress = progress
         self._results: Dict[RunRequest, RunMetrics] = {}
         self._telemetry: Optional[TelemetryWriter] = None
-        self._pricer = None
+
+    @property
+    def pricer(self):
+        """The job executor's pricer for this runner's model and store,
+        shared with every in-process group."""
+        return _pricer_for(self.scale, self.system,
+                           StoreConfig.from_cache(
+                               self.cache,
+                               stream_partitions=self.partitions))
 
     # -- orchestration -----------------------------------------------------
 
@@ -110,7 +116,7 @@ class JobRunner(Runner):
         hit = self._results.get(request)
         if hit is not None:
             return hit
-        # Disk cache, then the inherited in-process path.
+        # Disk cache, then the shared pricer.
         graph = build_job_graph([request])
         job = graph.jobs[graph.request_jobs[request]]
         key = job_fingerprint(job, self.scale, self.system)
@@ -119,13 +125,7 @@ class JobRunner(Runner):
             # Miss path prices through the staged pipeline bound to the
             # same store, so partial work (frozen streams, replays)
             # survives even when the cell-level key missed.
-            if self._pricer is None:
-                from repro.stages import StagePricer
-                self._pricer = StagePricer(scale=self.scale,
-                                           system=self.system,
-                                           cache=self.cache,
-                                           store=self.store)
-            metrics = self._pricer.price(
+            metrics = self.pricer.price(
                 app, request.scheme, dataset, preprocessing,
                 **params_to_kwargs(request.params))
             self.cache.put(key, metrics)

@@ -2,9 +2,10 @@
 
 The scheme-level traffic model replays millions of scatter accesses per
 (app, dataset, scheme) cell through an LLC-sized LRU
-(:func:`repro.runtime.traffic._lru_scatter` and friends).  The scalar
-``OrderedDict`` loop is exact but interpreter-bound; this module computes
-the *same* result with NumPy, using the LRU stack property:
+(:func:`repro.runtime.traffic.lru_scatter_replay` and friends).  The
+scalar ``OrderedDict`` loop (``tests/oracles/scalar.py``) is exact but
+interpreter-bound; this module computes the *same* result with NumPy,
+using the LRU stack property:
 
     an access to line ``x`` hits iff the number of **distinct** lines
     referenced since the previous access to ``x`` is at most ``C - 1``

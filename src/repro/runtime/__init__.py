@@ -1,24 +1,12 @@
-"""Runtime layer: workloads, traffic profiling, execution strategies."""
+"""Runtime layer: workloads, traffic-model records and kernels."""
 
-from repro.runtime.strategies import (
-    ALL_PARTS,
-    CMH_SCHEMES,
-    EXTRA_SCHEMES,
-    SCHEMES,
-    available_schemes,
-    cmh_ratios,
-    simulate_scheme,
-)
 from repro.runtime.traffic import (
     CHUNK,
     IterationProfile,
     ModelConfig,
     array_compressed_bytes,
     chunked_ids_values_compressed,
-    gather_rows,
-    profile_iteration,
-    profile_workload,
-    rows_compressed_bytes,
+    rows_compressed_bytes_from,
 )
 from repro.runtime.workload import (
     SAMPLE_PERIOD,
@@ -28,24 +16,14 @@ from repro.runtime.workload import (
 )
 
 __all__ = [
-    "ALL_PARTS",
     "CHUNK",
-    "CMH_SCHEMES",
-    "EXTRA_SCHEMES",
     "Iteration",
     "IterationProfile",
     "ModelConfig",
     "SAMPLE_PERIOD",
-    "SCHEMES",
     "Workload",
     "array_compressed_bytes",
-    "available_schemes",
     "chunked_ids_values_compressed",
-    "cmh_ratios",
-    "gather_rows",
-    "profile_iteration",
-    "profile_workload",
-    "rows_compressed_bytes",
+    "rows_compressed_bytes_from",
     "sample_iterations",
-    "simulate_scheme",
 ]

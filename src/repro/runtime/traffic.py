@@ -1,38 +1,32 @@
-"""Per-iteration traffic profiling — the shared core of all strategies.
+"""Traffic-model records and the vectorized measurement kernels.
 
-For each recorded iteration of a workload this module measures, once,
-every quantity the execution strategies need to cost their memory
-behaviour:
+The records every pricing layer shares — :class:`ModelConfig` (the
+scheme-level model knobs) and :class:`IterationProfile` (everything the
+cost models need to know about one iteration) — plus the kernels the
+staged pipeline (:mod:`repro.stages`) measures them with:
 
-* line-granular adjacency footprints (offsets + neighbour rows), plus the
-  *measured* compressed size of the same rows under the paper's delta
-  byte-code (over virtual paper-scale ids, see
-  :mod:`repro.graph.idspace`);
-* source-vertex and frontier footprints, raw and compressed;
-* the destination-vertex scatter stream of Push, replayed through an
-  LLC-sized LRU cache (misses and dirty writebacks);
-* Update Batching's bins: raw update bytes and the measured compressed
-  size of 32-update chunks (ids delta-coded after the order-insensitive
-  sort; payload values under best-of delta/BPC);
-* PHI's in-cache coalescing, replayed with an LLC-sized buffer of update
-  lines, producing the spilled-update stream and its compressed size.
+* compressed sizes under the paper's codecs: per-row delta byte codes
+  over virtual paper-scale ids (:func:`rows_compressed_bytes_from`, see
+  :mod:`repro.graph.idspace`), 32-element id/payload update chunks
+  (:func:`chunked_ids_values_compressed`), and best-of delta/BPC
+  vertex arrays (:func:`array_compressed_bytes`);
+* the LLC replays: Push's read-modify-write scatter through an
+  LLC-sized LRU (:func:`lru_scatter_replay`) and PHI's in-cache
+  coalescing with its spill stream (:func:`phi_coalesce_replay`).
 
-Profiles are deterministic functions of (workload, iteration, model
-config); the runner memoizes them so all six schemes share one profiling
-pass.
+Their scalar references live in ``tests/oracles/scalar.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.compression import bpc_chunk_encoded_sizes
 from repro.compression.delta import _varint_sizes, _zigzag_u64
 from repro.config import SystemConfig
-from repro.graph.csr import CsrGraph
 from repro.graph.idspace import expand_ids
 from repro.memory.address import LINE_BYTES
 from repro.memory.batch import (
@@ -42,19 +36,7 @@ from repro.memory.batch import (
     previous_occurrence,
 )
 from repro.obs import TRACER
-from repro.runtime.traffic_array import (
-    CHUNK,
-    ceil_lines,
-    gather_row_stream,
-    lru_scatter_oracle,
-    phi_coalesce_oracle,
-    pull_gather_lines,
-    push_scatter_lines,
-    row_line_bytes,
-    scattered_line_bytes,
-    ub_bin_stream,
-)
-from repro.runtime.workload import Iteration, Workload
+from repro.runtime.traffic_array import CHUNK
 
 
 @dataclass
@@ -150,36 +132,16 @@ def _delta_sizes_grouped(values_u64: np.ndarray,
     return np.add.reduceat(sizes, group_starts)
 
 
-def gather_rows(graph: CsrGraph, sources: np.ndarray) -> np.ndarray:
-    """The sources' neighbour ids, back to back, fully vectorized."""
-    return gather_row_stream(graph.offsets, graph.neighbors,
-                             graph.out_degrees(), sources,
-                             graph.num_vertices)
-
-
-def rows_compressed_bytes(graph: CsrGraph, sources: np.ndarray,
-                          id_scale: int) -> int:
-    """Measured per-row delta-compressed size of the sources' rows.
-
-    Per-row raw fallback applies (a row never costs more than raw + one
-    flag byte), matching real formats like Ligra+ byte codes.
-    """
-    deg = graph.out_degrees()[sources]
-    if not np.any(deg > 0):
-        return 0
-    return rows_compressed_bytes_from(gather_rows(graph, sources), deg,
-                                      id_scale)
-
-
 def rows_compressed_bytes_from(ids: np.ndarray, degrees: np.ndarray,
                                id_scale: int) -> int:
-    """:func:`rows_compressed_bytes` over pre-gathered row streams.
+    """Measured per-row delta-compressed size of pre-gathered rows.
 
     ``ids`` is the concatenated neighbour stream of the rows and
-    ``degrees`` their per-row lengths (zero-degree rows allowed).  The
-    staged pricing pipeline calls this form on frozen stream artifacts;
-    the graph-accepting wrapper above gathers and delegates, so the two
-    paths share one implementation.
+    ``degrees`` their per-row lengths (zero-degree rows allowed).  Per-row
+    raw fallback applies (a row never costs more than raw + one flag
+    byte), matching real formats like Ligra+ byte codes.  A whole
+    graph's rows are ``rows_compressed_bytes_from(graph.neighbors,
+    graph.out_degrees(), scale)``.
     """
     deg = degrees[degrees > 0]
     if deg.size == 0:
@@ -277,15 +239,11 @@ def array_compressed_bytes(values: Optional[np.ndarray],
 # Cache replays
 # --------------------------------------------------------------------------
 
-# Scalar reference replays now live with the other equivalence oracles
-# in :mod:`repro.runtime.traffic_array`; the old private names stay
-# importable because benchmarks and tests address them here.
-_lru_scatter = lru_scatter_oracle
-
-
 def lru_scatter_replay(lines: np.ndarray, capacity: int
                        ) -> Tuple[int, int]:
-    """Vectorized :func:`_lru_scatter`: same (misses, writebacks).
+    """Replay a read-modify-write scatter stream through an LRU cache.
+
+    Returns (misses, dirty writebacks incl. the final flush).
 
     Every line of an RMW stream is inserted dirty, so lifetime
     writebacks (evictions plus the final flush) equal the miss count;
@@ -296,13 +254,12 @@ def lru_scatter_replay(lines: np.ndarray, capacity: int
     return misses, misses
 
 
-_phi_coalesce = phi_coalesce_oracle
-
-
 def phi_coalesce_replay(dsts: np.ndarray, values: np.ndarray,
                         dst_value_bytes: int, capacity_lines: int
                         ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized :func:`_phi_coalesce`: identical spill stream.
+    """Replay PHI's in-cache update coalescing.
+
+    Returns (spilled dst ids, spilled values, spilled lines).
 
     Key facts that make the event loop unnecessary:
 
@@ -383,221 +340,3 @@ def phi_coalesce_replay(dsts: np.ndarray, values: np.ndarray,
     spilled_ids = dst2[pair_first][out_order].astype(np.uint32)
     spilled_vals = vbits[order[order2[pair_last]]][out_order]
     return spilled_ids, spilled_vals, int(num_segments)
-
-
-# --------------------------------------------------------------------------
-# Line-granular footprints
-# --------------------------------------------------------------------------
-
-def _row_line_bytes(graph: CsrGraph, sources: np.ndarray,
-                    elem_bytes: int = 4) -> int:
-    """Line-granular bytes to fetch the sources' neighbour rows."""
-    return row_line_bytes(graph.offsets, graph.num_vertices,
-                          graph.num_edges, sources, elem_bytes)
-
-
-_scattered_line_bytes = scattered_line_bytes
-_ceil_lines = ceil_lines
-
-
-# --------------------------------------------------------------------------
-# The profile builder
-# --------------------------------------------------------------------------
-
-def profile_iteration(workload: Workload, iteration: Iteration,
-                      cfg: ModelConfig) -> IterationProfile:
-    """Measure one iteration's memory quantities (see module docstring)."""
-    with TRACER.span("profile.iteration", app=workload.app):
-        return _profile_iteration(workload, iteration, cfg)
-
-
-def _profile_iteration(workload: Workload, iteration: Iteration,
-                       cfg: ModelConfig) -> IterationProfile:
-    graph = workload.graph
-    sources = iteration.sources
-    degrees = graph.out_degrees()
-    num_edges = int(degrees[sources].sum())
-    all_active = sources.size >= graph.num_vertices
-
-    # --- adjacency -------------------------------------------------------
-    if all_active:
-        offsets_bytes = _ceil_lines((graph.num_vertices + 1) * 8)
-    else:
-        offsets_bytes = _scattered_line_bytes(sources, 8)
-    neigh_bytes = _row_line_bytes(graph, sources)
-    neigh_comp = rows_compressed_bytes(graph, sources, cfg.id_scale)
-    neigh_bytes_compressed = min(_ceil_lines(neigh_comp), neigh_bytes)
-
-    edge_values = workload.extras.get("edge_values")
-    if edge_values is not None:
-        edge_value_bytes = _ceil_lines(num_edges * edge_values.dtype.itemsize)
-        edge_value_bytes_compressed = _ceil_lines(
-            array_compressed_bytes(edge_values))
-    else:
-        edge_value_bytes = 0
-        edge_value_bytes_compressed = 0
-
-    # --- source vertex data ----------------------------------------------
-    svb = workload.src_value_bytes
-    if svb == 0:
-        src_bytes = src_bytes_compressed = 0
-    elif all_active:
-        src_bytes = _ceil_lines(graph.num_vertices * svb)
-        src_bytes_compressed = min(
-            _ceil_lines(array_compressed_bytes(iteration.src_values)),
-            src_bytes)
-    else:
-        src_bytes = _scattered_line_bytes(sources, svb)
-        # Scattered accesses cannot use compressed layouts (Sec II-C).
-        src_bytes_compressed = src_bytes
-
-    # --- frontier -----------------------------------------------------------
-    if workload.frontier_based:
-        frontier_raw = _ceil_lines(sources.size * 4) * 2  # write + read
-        frontier_comp = chunked_ids_values_compressed(
-            sources.astype(np.uint32), np.empty(0, dtype=np.uint32),
-            cfg.id_scale, sort=cfg.sort_updates)
-        frontier_bytes = frontier_raw
-        frontier_bytes_compressed = min(2 * _ceil_lines(frontier_comp),
-                                        frontier_raw)
-    else:
-        frontier_bytes = frontier_bytes_compressed = 0
-
-    # --- Push destination scatter ---------------------------------------------
-    dvb = workload.dst_value_bytes
-    dsts = gather_rows(graph, sources)
-    dst_lines = push_scatter_lines(dsts, dvb)
-    with TRACER.span("replay.push_scatter", count=int(dst_lines.size)):
-        misses, writebacks = lru_scatter_replay(dst_lines,
-                                                cfg.llc_lines)
-    push_dest_read_bytes = misses * LINE_BYTES
-    push_dest_write_bytes = writebacks * LINE_BYTES
-
-    # --- Update Batching ---------------------------------------------------------
-    vpb = cfg.vertices_per_bin(dvb)
-    num_bins = max(1, -(-graph.num_vertices // vpb))
-    update_bytes = _ceil_lines(num_edges * workload.update_bytes)
-    upd_vals = iteration.update_values
-    sorted_ids, sorted_vals, touched_bins = ub_bin_stream(dsts, upd_vals,
-                                                          vpb)
-    update_bytes_compressed_unsorted = _ceil_lines(
-        chunked_ids_values_compressed(sorted_ids, sorted_vals,
-                                      cfg.id_scale, sort=False))
-    if cfg.sort_updates:
-        # The order-insensitive sort shrinks ids but permutes payloads;
-        # the runtime keeps whichever orientation compresses better for
-        # the structure (a static per-app choice, like best-of codecs).
-        update_bytes_compressed = min(
-            _ceil_lines(chunked_ids_values_compressed(
-                sorted_ids, sorted_vals, cfg.id_scale, sort=True)),
-            update_bytes_compressed_unsorted)
-    else:
-        update_bytes_compressed = update_bytes_compressed_unsorted
-    ub_dest_raw = min(_ceil_lines(graph.num_vertices * dvb),
-                      touched_bins * vpb * dvb)
-    ub_dest_bytes = 2 * ub_dest_raw  # read + write per pass
-    dst_comp = array_compressed_bytes(workload.dst_values)
-    dst_total_raw = max(1, graph.num_vertices * dvb)
-    ub_dest_bytes_compressed = int(ub_dest_bytes
-                                   * min(1.0, dst_comp / dst_total_raw))
-
-    # --- PHI -----------------------------------------------------------------
-    with TRACER.span("replay.phi_coalesce", count=int(dsts.size)):
-        spilled_ids, spilled_vals, spilled_lines = phi_coalesce_replay(
-            dsts.astype(np.int64), upd_vals if upd_vals.size == dsts.size
-            else np.empty(0), dvb, cfg.llc_lines)
-    # Evicted lines write their *update entries* into bins (Sec II-D),
-    # which are later read back during accumulation.
-    phi_update_bytes = 2 * _ceil_lines(spilled_ids.size
-                                       * workload.update_bytes)
-    if upd_vals.size == dsts.size and upd_vals.dtype.itemsize <= 8 \
-            and spilled_vals.size:
-        spill_payload = spilled_vals.astype(
-            np.dtype(f"u{upd_vals.dtype.itemsize}") if
-            upd_vals.dtype.itemsize in (4, 8) else np.uint64)
-    else:
-        spill_payload = np.empty(0, dtype=np.uint32)
-    phi_comp = chunked_ids_values_compressed(
-        spilled_ids, spill_payload, cfg.id_scale, sort=cfg.sort_updates)
-    phi_update_bytes_compressed = min(2 * _ceil_lines(phi_comp),
-                                      phi_update_bytes)
-
-    # --- Pull (destination-stationary) gather --------------------------------
-    pull_gather_misses = 0
-    pull_gather_read_bytes = 0
-    pull_adj_bytes = 0
-    pull_adj_bytes_comp = 0
-    if all_active and workload.src_value_bytes:
-        transposed = _transpose_of(graph)
-        gather_lines = pull_gather_lines(transposed.neighbors,
-                                         workload.src_value_bytes)
-        with TRACER.span("replay.pull_gather",
-                         count=int(gather_lines.size)):
-            pull_gather_misses, _wb = lru_scatter_replay(gather_lines,
-                                                         cfg.llc_lines)
-        pull_gather_read_bytes = pull_gather_misses * LINE_BYTES
-        pull_adj_bytes = _row_line_bytes(
-            transposed, np.arange(transposed.num_vertices))
-        pull_adj_bytes_comp = min(
-            _ceil_lines(rows_compressed_bytes(
-                transposed, np.arange(transposed.num_vertices),
-                cfg.id_scale)),
-            pull_adj_bytes)
-
-    return IterationProfile(
-        weight=iteration.weight,
-        num_sources=int(sources.size),
-        num_edges=num_edges,
-        offsets_bytes=offsets_bytes,
-        neigh_bytes=neigh_bytes,
-        neigh_bytes_compressed=neigh_bytes_compressed,
-        edge_value_bytes=edge_value_bytes,
-        edge_value_bytes_compressed=edge_value_bytes_compressed,
-        src_bytes=src_bytes,
-        src_bytes_compressed=src_bytes_compressed,
-        frontier_bytes=frontier_bytes,
-        frontier_bytes_compressed=frontier_bytes_compressed,
-        push_dest_read_bytes=push_dest_read_bytes,
-        push_dest_write_bytes=push_dest_write_bytes,
-        push_dest_misses=misses,
-        num_bins=num_bins,
-        update_bytes=update_bytes,
-        update_bytes_compressed=update_bytes_compressed,
-        update_bytes_compressed_unsorted=update_bytes_compressed_unsorted,
-        ub_dest_bytes=ub_dest_bytes,
-        ub_dest_bytes_compressed=ub_dest_bytes_compressed,
-        phi_spilled_updates=int(spilled_ids.size),
-        phi_update_bytes=phi_update_bytes,
-        phi_update_bytes_compressed=phi_update_bytes_compressed,
-        pull_gather_misses=pull_gather_misses,
-        pull_gather_read_bytes=pull_gather_read_bytes,
-        pull_adj_bytes=pull_adj_bytes,
-        pull_adj_bytes_compressed=pull_adj_bytes_comp,
-        load_imbalance=_iteration_imbalance(degrees[sources],
-                                            cfg.system.num_cores),
-    )
-
-
-def _iteration_imbalance(active_degrees: np.ndarray,
-                         num_cores: int) -> float:
-    from repro.runtime.scheduling import iteration_imbalance
-    return iteration_imbalance(active_degrees, num_cores=num_cores)
-
-
-#: Transposes are expensive; graphs are memoized by the dataset loader,
-#: so caching by object id is safe for a session.
-_TRANSPOSE_CACHE: Dict[int, CsrGraph] = {}
-
-
-def _transpose_of(graph: CsrGraph) -> CsrGraph:
-    key = id(graph)
-    if key not in _TRANSPOSE_CACHE:
-        _TRANSPOSE_CACHE[key] = graph.transpose()
-    return _TRANSPOSE_CACHE[key]
-
-
-def profile_workload(workload: Workload,
-                     cfg: ModelConfig) -> List[IterationProfile]:
-    """Profile every recorded iteration."""
-    return [profile_iteration(workload, it, cfg)
-            for it in workload.iterations]

@@ -27,7 +27,7 @@ from repro.schemes.costs import (
     costs_for,
     graph_dst_bytes,
 )
-from repro.schemes.pricing import cmh_ratios, simulate_scheme, simulate_spec
+from repro.schemes.pricing import simulate_scheme, simulate_spec
 from repro.schemes.registry import (
     REGISTRY,
     SchemeRegistry,
@@ -64,7 +64,6 @@ __all__ = [
     "UbCostModel",
     "UnknownSchemeError",
     "as_parts",
-    "cmh_ratios",
     "cost_model_for",
     "costs_for",
     "default_parts",

@@ -1,35 +1,27 @@
-"""Price one (spec, workload) combination into :class:`RunMetrics`.
+"""Price one (spec, profiles) combination into :class:`RunMetrics`.
 
 :func:`simulate_spec` is the single pricing entry point: it looks up the
 spec's cost model and constants, accumulates weighted per-iteration
 traffic and work, and runs the bottleneck timing model.  The CMH overlay
 takes a separate loop because it prices against measured BDI/LCP
-compression ratios of the workload's actual arrays rather than SpZip's
-profile-side compressed byte counts.
+compression ratios of the workload's actual arrays (measured by the
+compress stage) and the Push scatter's frozen LLC replays, rather than
+SpZip's profile-side compressed byte counts.
 
 :func:`simulate_scheme` is the string-accepting wrapper (resolves
 through the registry first), kept for callers that hold scheme names.
-
-This module must not import :mod:`repro.runtime` at module scope:
-``repro.runtime.strategies`` re-exports from here, so a top-level import
-back into ``repro.runtime`` would cycle.  The two traffic helpers the
-CMH replay needs are imported lazily inside the loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.compression import bdi_line_size, bdi_line_sizes
-from repro.graph.idspace import expand_ids
+from repro.compression import bdi_line_sizes
 from repro.memory.address import LINE_BYTES
 from repro.memory.compressed import LCP_SLOT_SIZES, PAGE_BYTES
 from repro.obs import TRACER
-# Module-object reference, resolved at call time: on the
-# ``import repro.schemes`` path this module is imported (via
-# runtime.strategies) while schemes.costs is still mid-import.
 import repro.schemes.costs as _costs
 from repro.schemes.registry import resolve
 from repro.schemes.spec import SchemeSpec
@@ -38,13 +30,26 @@ from repro.sim.timing import PhaseWork, phase_cycles
 
 
 def simulate_spec(workload, profiles, spec: SchemeSpec, cfg,
-                  dataset: str = "?",
-                  preprocessing: str = "?") -> RunMetrics:
-    """Cost one (spec, workload) combination."""
+                  dataset: str = "?", preprocessing: str = "?",
+                  ratios: Optional[Dict[str, float]] = None,
+                  replays: Optional[List[Tuple[int, int]]] = None
+                  ) -> RunMetrics:
+    """Cost one (spec, workload) combination.
+
+    ``workload`` needs only the attributes the cost models read (a
+    :class:`~repro.stages.timing.PricingView` suffices).  CMH specs
+    also need ``ratios`` and ``replays`` (see :func:`_simulate_cmh`),
+    which the staged pipeline's compress and replay artifacts carry.
+    """
     if spec.cmh:
+        if ratios is None or replays is None:
+            raise ValueError(
+                f"{spec.canonical()} prices from measured BDI/LCP ratios "
+                f"and Push scatter replays; price it through "
+                f"repro.stages (StagePricer or profile_bundle)")
         with TRACER.span("pricing.cmh", scheme=spec.canonical()):
             return _simulate_cmh(workload, profiles, spec, cfg, dataset,
-                                 preprocessing)
+                                 preprocessing, ratios, replays)
     with TRACER.span("pricing.price", scheme=spec.canonical()):
         return _price_spec(workload, profiles, spec, cfg, dataset,
                            preprocessing)
@@ -106,21 +111,6 @@ def simulate_scheme(workload, profiles, scheme: Union[str, SchemeSpec],
 # Compressed memory hierarchy baseline (Fig 22)
 # --------------------------------------------------------------------------
 
-def _pad_line(line: bytes) -> bytes:
-    """Zero-pad a trailing partial line to the full 64 bytes."""
-    return line if len(line) == LINE_BYTES \
-        else line + bytes(LINE_BYTES - len(line))
-
-
-def _bdi_ratio_scalar(data: bytes) -> float:
-    """Per-line reference for :func:`_bdi_ratio` (equivalence-tested)."""
-    if not data:
-        return 1.0
-    sizes = [bdi_line_size(_pad_line(data[start:start + LINE_BYTES]))
-             for start in range(0, len(data), LINE_BYTES)]
-    return (len(sizes) * LINE_BYTES) / sum(sizes)
-
-
 def _bdi_ratio(data: bytes) -> float:
     """Average BDI compression ratio over 64-byte lines of ``data``.
 
@@ -133,25 +123,6 @@ def _bdi_ratio(data: bytes) -> float:
         return 1.0
     sizes = bdi_line_sizes(data)
     return float(sizes.size * LINE_BYTES) / float(sizes.sum())
-
-
-def _lcp_fetch_ratio_scalar(data: bytes) -> float:
-    """Per-page reference for :func:`_lcp_fetch_ratio`."""
-    if not data:
-        return 1.0
-    ratios = []
-    for page_start in range(0, len(data), PAGE_BYTES):
-        page = data[page_start:page_start + PAGE_BYTES]
-        worst = max(
-            bdi_line_size(_pad_line(page[start:start + LINE_BYTES]))
-            for start in range(0, len(page), LINE_BYTES))
-        slot = LINE_BYTES
-        for candidate in LCP_SLOT_SIZES:
-            if worst <= candidate:
-                slot = candidate
-                break
-        ratios.append(LINE_BYTES / slot)
-    return float(np.mean(ratios)) if ratios else 1.0
 
 
 #: Lines per LCP page (4 KiB / 64 B).
@@ -179,48 +150,17 @@ def _lcp_fetch_ratio(data: bytes) -> float:
     return float(np.mean(LINE_BYTES / slots))
 
 
-#: Per-(graph, scale) memo: one BDI/LCP sweep per workload's arrays.
-_CMH_CACHE: Dict[tuple, Dict[str, float]] = {}
-
-
-def cmh_ratios(workload, cfg) -> Dict[str, float]:
-    """Measured BDI/LCP ratios of the workload's actual arrays."""
-    graph = workload.graph
-    key = (id(graph), workload.app, cfg.id_scale)
-    if key in _CMH_CACHE:
-        return _CMH_CACHE[key]
-    adj_bytes = expand_ids(graph.neighbors, cfg.id_scale).astype(
-        np.uint32).tobytes()
-    if workload.dst_values is not None and workload.dst_values.size:
-        dst_bytes = np.ascontiguousarray(workload.dst_values).tobytes()
-    else:
-        dst_bytes = b""
-    with TRACER.span("pricing.cmh_ratios", app=workload.app,
-                     count=(len(adj_bytes) + len(dst_bytes))
-                     // LINE_BYTES):
-        ratios = {
-            "adj_lcp": _lcp_fetch_ratio(adj_bytes),
-            "dst_lcp": _lcp_fetch_ratio(dst_bytes),
-            "dst_bdi": _bdi_ratio(dst_bytes),
-        }
-    _CMH_CACHE[key] = ratios
-    return ratios
-
-
 def _simulate_cmh(workload, profiles, spec: SchemeSpec, cfg,
                   dataset: str, preprocessing: str,
-                  ratios: Optional[Dict[str, float]] = None,
-                  replays: Optional[list] = None) -> RunMetrics:
+                  ratios: Dict[str, float],
+                  replays: List[Tuple[int, int]]) -> RunMetrics:
     """Push/UB on the VSC+BDI LLC + LCP memory system (Sec V-D).
 
-    ``ratios`` and ``replays`` let the staged pipeline price against
-    frozen compress/replay artifacts: ``ratios`` replaces the in-place
-    BDI/LCP sweep and ``replays`` provides one ``(misses, writebacks)``
-    per profile so no iteration stream needs re-replaying (``workload``
-    may then be a lightweight view without real iterations).
+    ``ratios`` are the BDI/LCP ratios of the workload's actual arrays
+    (the compress stage's ``cmh_ratios``) and ``replays`` one Push
+    scatter ``(misses, writebacks)`` per profile (the replay stage's),
+    so no iteration stream is re-replayed here.
     """
-    if ratios is None:
-        ratios = cmh_ratios(workload, cfg)
     model = _costs.cost_model_for(spec)
     costs = _costs.costs_for(spec)
     # VSC's extra residency for scattered read-modify-write data is
@@ -229,17 +169,13 @@ def _simulate_cmh(workload, profiles, spec: SchemeSpec, cfg,
     # per-input LLC sizing sits at the residency knee where any capacity
     # delta would be wildly amplified (a scale artifact, not a mechanism
     # — see DESIGN.md).  CMH's modelled benefits are LCP's read-traffic
-    # reduction, at the price of critical-path decompression.
-    capacity = cfg.llc_lines
+    # reduction, at the price of critical-path decompression — so the
+    # Push scatter replays at the plain LLC capacity.
 
     traffic_parts: List[Dict[str, float]] = []
     work = PhaseWork()
-    iterations = workload.iterations if replays is None \
-        else [None] * len(profiles)
-    for index, (p, it) in enumerate(zip(profiles, iterations)):
-        t, w = model.cmh_iteration_cost(
-            workload, p, it, ratios, capacity,
-            replay=None if replays is None else replays[index])
+    for p, replay in zip(profiles, replays):
+        t, w = model.cmh_iteration_cost(workload, p, ratios, replay)
         traffic_parts.append({cls: v * p.weight for cls, v in t.items()})
         scaled = PhaseWork(**{f: getattr(w, f) * p.weight
                               for f in ("edges", "vertices", "updates",

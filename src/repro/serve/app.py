@@ -97,7 +97,7 @@ class ServeApp:
                  batch_max: int = DEFAULT_BATCH_MAX,
                  store_config: Optional[StoreConfig] = None) -> None:
         if scale is None:
-            from repro.graph.datasets import DEFAULT_SCALE
+            from repro.config import DEFAULT_SCALE
             scale = DEFAULT_SCALE
         if workers < 1:
             raise ValueError("workers must be >= 1")

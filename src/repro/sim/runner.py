@@ -1,25 +1,21 @@
 """The experiment runner: app x scheme x dataset x preprocessing.
 
-One stop for the harness and benchmarks: builds (and memoizes) the
-workload for an (app, dataset, preprocessing) triple, profiles its
-iterations once, and prices any scheme against the shared profiles.
-Profiling is the expensive step (cache replays + compression
-measurement); memoization means the six schemes of a Fig 15 bar group
-share a single profiling pass.
+One stop for the harness, the CLI and the sweeps: a thin facade over
+one :class:`~repro.stages.StagePricer`, the single pricing path.
+:meth:`Runner.run` prices a cell through the four stages, and
+:meth:`Runner.profiles` returns the assembled iteration profiles of an
+input.  The pricer memoizes one small profile bundle per (app, dataset,
+preprocessing), so the six schemes of a Fig 15 bar group share a
+single stream/replay/compress pass.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import SystemConfig
-from repro.graph.datasets import DEFAULT_SCALE, load_preprocessed
+from repro.config import DEFAULT_SCALE, SystemConfig
 from repro.obs import TRACER
-from repro.runtime.traffic import (
-    IterationProfile,
-    ModelConfig,
-    profile_workload,
-)
+from repro.runtime.traffic import IterationProfile, ModelConfig
 from repro.runtime.workload import Workload
 from repro.sim.metrics import RunMetrics
 
@@ -37,12 +33,10 @@ def sized_model_config(system: SystemConfig, scale: int,
                        num_vertices: int) -> ModelConfig:
     """Model config with the LLC sized for one input (see above).
 
-    Pure function of (system, scale, vertex count) so the memoizing
-    :class:`Runner` and the staged pricing pipeline
-    (:mod:`repro.stages`) resolve identical per-input configurations —
-    the staged path fingerprints the *resolved* LLC geometry, so any
-    change to this sizing logic flows into stage cache keys through the
-    values it produces.
+    Pure function of (system, scale, vertex count).  The staged pricing
+    pipeline (:mod:`repro.stages`) fingerprints the *resolved* LLC
+    geometry, so any change to this sizing logic flows into stage cache
+    keys through the values it produces.
     """
     from dataclasses import replace
     target = int(LLC_DEST_RESIDENCY * num_vertices * 4)
@@ -53,64 +47,53 @@ def sized_model_config(system: SystemConfig, scale: int,
 
 
 class Runner:
-    """Memoizing simulation front end."""
+    """Simulation front end over one :class:`~repro.stages.StagePricer`.
+
+    The plain runner prices with no disk store (``NullCache``);
+    :class:`~repro.jobs.JobRunner` swaps in the job executor's
+    per-process pricer and a content-addressed cache.
+    """
 
     def __init__(self, scale: int = DEFAULT_SCALE,
                  system: Optional[SystemConfig] = None) -> None:
         self.scale = scale
         self.system = system if system is not None \
             else SystemConfig().scaled(scale)
-        self.cfg = ModelConfig(system=self.system, id_scale=scale)
+        self._pricer = None
         self._workloads: Dict[Tuple[str, str, str], Workload] = {}
-        self._profiles: Dict[Tuple[str, str, str],
-                             List[IterationProfile]] = {}
-        self._cfgs: Dict[str, ModelConfig] = {}
+
+    @property
+    def pricer(self):
+        """The :class:`~repro.stages.StagePricer` every cell prices on."""
+        if self._pricer is None:
+            from repro.stages import StagePricer
+            self._pricer = StagePricer(scale=self.scale,
+                                       system=self.system)
+        return self._pricer
 
     def config_for(self, workload: Workload) -> ModelConfig:
-        """Model config with the LLC sized for this input (see above).
-
-        Keyed on the workload's full identity (app + graph content),
-        not just the vertex count: distinct datasets can share a vertex
-        count today without colliding here (the sizing below reads only
-        ``num_vertices``), but any future per-input sizing term would
-        silently cross-contaminate configs under the old key.
-        """
-        key = f"{workload.app}/{workload.graph.content_digest()}"
-        if key not in self._cfgs:
-            self._cfgs[key] = sized_model_config(
-                self.system, self.scale, workload.graph.num_vertices)
-        return self._cfgs[key]
+        """Model config with the LLC sized for this input (see above)."""
+        return sized_model_config(self.system, self.scale,
+                                  workload.graph.num_vertices)
 
     # -- building blocks -------------------------------------------------------
 
     def workload(self, app: str, dataset: str,
                  preprocessing: str = "none") -> Workload:
-        from repro.apps import build_workload
+        """The input's workload, memoized for callers that inspect it
+        directly (pricing never needs it kept alive)."""
+        from repro.stages import load_workload
         key = (app, dataset, preprocessing)
         if key not in self._workloads:
-            with TRACER.span("runner.build_workload", app=app,
-                             dataset=dataset,
-                             preprocessing=preprocessing):
-                if app == "sp":
-                    self._workloads[key] = build_workload(
-                        "sp", scale=self.scale)
-                else:
-                    graph = load_preprocessed(dataset, preprocessing,
-                                              self.scale)
-                    self._workloads[key] = build_workload(app,
-                                                          graph=graph)
+            self._workloads[key] = load_workload(app, dataset,
+                                                 preprocessing, self.scale)
         return self._workloads[key]
 
     def profiles(self, app: str, dataset: str,
                  preprocessing: str = "none") -> List[IterationProfile]:
-        key = (app, dataset, preprocessing)
-        if key not in self._profiles:
-            workload = self.workload(app, dataset, preprocessing)
-            with TRACER.span("runner.profile", app=app, dataset=dataset,
-                             preprocessing=preprocessing):
-                self._profiles[key] = profile_workload(
-                    workload, self.config_for(workload))
-        return self._profiles[key]
+        """Assembled iteration profiles of one input (the pricer's
+        memoized bundle)."""
+        return self.pricer.bundle(app, dataset, preprocessing).profiles
 
     # -- simulation -------------------------------------------------------------
 
@@ -123,7 +106,7 @@ class Runner:
         :class:`~repro.schemes.SchemeSpec`; kwargs feed the legacy
         ablation knobs (``parts``, ``decoupled_only``).
         """
-        from repro.schemes import resolve, simulate_spec
+        from repro.schemes import resolve
         spec = resolve(scheme, **kwargs)
         # One span per (app, scheme, input) cell, tagged with the
         # canonical SchemeSpec string — the unit the paper's sweep (and
@@ -131,13 +114,9 @@ class Runner:
         with TRACER.span("runner.cell", app=app,
                          scheme=spec.canonical(), dataset=dataset,
                          preprocessing=preprocessing):
-            workload = self.workload(app, dataset, preprocessing)
-            profiles = self.profiles(app, dataset, preprocessing)
             with TRACER.span("runner.price"):
-                return simulate_spec(workload, profiles, spec,
-                                     self.config_for(workload),
-                                     dataset=dataset,
-                                     preprocessing=preprocessing)
+                return self.pricer.price(app, spec, dataset,
+                                         preprocessing)
 
     def run_all_schemes(self, app: str, dataset: str,
                         preprocessing: str = "none",

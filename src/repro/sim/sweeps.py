@@ -3,7 +3,11 @@
 Not paper figures — response-surface tools a user of the model reaches
 for next: how do the schemes respond to more memory bandwidth, a bigger
 LLC, or more cores?  Each sweep reruns the scheme simulator with one
-knob scaled, against shared workload profiles where possible.
+knob scaled, against shared workload profiles where possible: the
+runner's memoized profile bundle, or — for the LLC sweep, whose points
+change the cache replays — :func:`repro.stages.profile_bundle` per
+point.  Every cell prices through
+:func:`repro.stages.timing.price_staged`, the report cells' code.
 
 The bandwidth sweep answers the paper's implicit question directly:
 under scarce bandwidth every scheme is traffic-limited (advantage =
@@ -21,12 +25,16 @@ from repro.sim.metrics import RunMetrics
 from repro.sim.runner import Runner
 
 
-def _sim_tools():
-    # Imported lazily: repro.schemes pulls repro.sim.timing, so a
-    # module-level import here would be circular via repro.sim.__init__.
-    from repro.runtime.traffic import ModelConfig, profile_workload
-    from repro.schemes import simulate_scheme
-    return simulate_scheme, ModelConfig, profile_workload
+def _price(bundle, scheme: str, cfg, dataset: str,
+           preprocessing: str) -> RunMetrics:
+    """One scheme against a bundle's profiles, under ``cfg``."""
+    # Imported lazily: repro.stages and repro.schemes import repro.sim,
+    # so module-level imports here would be circular.
+    from repro.schemes import resolve
+    from repro.stages.timing import price_staged
+    return price_staged(resolve(scheme), bundle.profiles, bundle.view,
+                        cfg, dataset, preprocessing, bundle.cmh_ratios,
+                        bundle.push_replays)
 
 
 def bandwidth_sweep(runner: Runner, app: str, dataset: str,
@@ -40,22 +48,16 @@ def bandwidth_sweep(runner: Runner, app: str, dataset: str,
     Traffic profiles are bandwidth-independent, so they are shared; only
     the timing changes.
     """
-    simulate_scheme, ModelConfig, profile_workload = _sim_tools()
-    workload = runner.workload(app, dataset, preprocessing)
-    cfg = runner.config_for(workload)
-    profiles = profile_workload(workload, cfg)
+    bundle = runner.pricer.bundle(app, dataset, preprocessing)
+    cfg = bundle.cfg
     rows: List[Dict[str, object]] = []
     for factor in factors:
         memory = replace(cfg.system.memory,
                          gb_per_sec_per_controller=cfg.system.memory
                          .gb_per_sec_per_controller * factor)
-        system = replace(cfg.system, memory=memory)
-        swept = ModelConfig(system=system, id_scale=cfg.id_scale,
-                            bin_llc_fraction=cfg.bin_llc_fraction,
-                            sort_updates=cfg.sort_updates)
-        runs = {scheme: simulate_scheme(workload, profiles, scheme,
-                                        swept, dataset=dataset,
-                                        preprocessing=preprocessing)
+        swept = replace(cfg, system=replace(cfg.system, memory=memory))
+        runs = {scheme: _price(bundle, scheme, swept, dataset,
+                               preprocessing)
                 for scheme in schemes}
         row: Dict[str, object] = {"bandwidth_factor": factor}
         base = runs[schemes[0]]
@@ -72,10 +74,11 @@ def llc_sweep(runner: Runner, app: str, dataset: str,
               ) -> List[Dict[str, object]]:
     """Rerun schemes with the model LLC scaled by each factor.
 
-    Capacity changes the cache replays, so profiles are rebuilt per
-    point (the expensive sweep).
+    Capacity changes the cache replays, so every point runs the stages
+    afresh for its own config (the expensive sweep).
     """
-    simulate_scheme, ModelConfig, profile_workload = _sim_tools()
+    from repro.runtime.traffic import ModelConfig
+    from repro.stages import profile_bundle
     workload = runner.workload(app, dataset, preprocessing)
     base_cfg = runner.config_for(workload)
     rows: List[Dict[str, object]] = []
@@ -87,10 +90,9 @@ def llc_sweep(runner: Runner, app: str, dataset: str,
         llc = replace(base_cfg.system.llc, size_bytes=size)
         system = replace(base_cfg.system, llc=llc)
         cfg = ModelConfig(system=system, id_scale=base_cfg.id_scale)
-        profiles = profile_workload(workload, cfg)
-        runs = {scheme: simulate_scheme(workload, profiles, scheme, cfg,
-                                        dataset=dataset,
-                                        preprocessing=preprocessing)
+        bundle = profile_bundle(workload, cfg)
+        runs = {scheme: _price(bundle, scheme, cfg, dataset,
+                               preprocessing)
                 for scheme in schemes}
         row: Dict[str, object] = {"llc_factor": factor,
                                   "llc_bytes": size}
@@ -107,18 +109,15 @@ def core_sweep(runner: Runner, app: str, dataset: str,
                scheme: str = "push") -> List[Dict[str, object]]:
     """Scale core count; shows where each scheme stops scaling (the
     compute-vs-bandwidth crossover)."""
-    simulate_scheme, ModelConfig, profile_workload = _sim_tools()
-    workload = runner.workload(app, dataset, preprocessing)
-    cfg = runner.config_for(workload)
-    profiles = profile_workload(workload, cfg)
+    bundle = runner.pricer.bundle(app, dataset, preprocessing)
+    cfg = bundle.cfg
     rows: List[Dict[str, object]] = []
     base_cycles: Optional[float] = None
     for count in counts:
-        system = replace(cfg.system, num_cores=count)
-        swept = ModelConfig(system=system, id_scale=cfg.id_scale)
-        run: RunMetrics = simulate_scheme(workload, profiles, scheme,
-                                          swept, dataset=dataset,
-                                          preprocessing=preprocessing)
+        # Profiles stay assembled at the base core count: only the
+        # timing model sees the swept count.
+        swept = replace(cfg, system=replace(cfg.system, num_cores=count))
+        run = _price(bundle, scheme, swept, dataset, preprocessing)
         if base_cycles is None:
             base_cycles = run.cycles
         rows.append({"cores": count,

@@ -12,8 +12,9 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.config import DEFAULT_SCALE
 from repro.graph.csr import CsrGraph
-from repro.graph.datasets import DEFAULT_SCALE, load
+from repro.graph.datasets import load
 from repro.utils import make_rng
 
 

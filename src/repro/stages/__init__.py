@@ -1,9 +1,9 @@
 """Content-addressed stage-graph pricing pipeline.
 
-Factors the monolithic per-cell pricing path into four pure stages —
-stream-gen → cache-replay → compress → timing — whose artifacts persist
-in the result cache under fingerprints of (stage code salt, upstream
-artifact digests, stage-relevant config slice).  See docs/PIPELINE.md.
+The one pricing path: four pure stages — stream-gen → cache-replay →
+compress → timing — whose artifacts persist in the result cache under
+fingerprints of (stage code salt, upstream artifact digests,
+stage-relevant config slice).  See docs/PIPELINE.md.
 """
 
 from repro.stages.artifacts import (
@@ -16,6 +16,8 @@ from repro.stages.artifacts import (
 from repro.stages.pipeline import (
     ProfileBundle,
     StagePricer,
+    load_workload,
+    profile_bundle,
     reset_stage_counters,
     stage_counters,
 )
@@ -28,6 +30,8 @@ __all__ = [
     "StagePricer",
     "StreamArtifact",
     "StreamPartition",
+    "load_workload",
+    "profile_bundle",
     "reset_stage_counters",
     "stage_counters",
 ]

@@ -27,8 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import SystemConfig
-from repro.graph.datasets import DEFAULT_SCALE
+from repro.config import DEFAULT_SCALE, SystemConfig
 from repro.jobs.cache import NullCache, StoreConfig
 from repro.jobs.fingerprint import (
     artifact_digest,
@@ -39,6 +38,7 @@ from repro.jobs.fingerprint import (
 from repro.memory.address import LINE_BYTES
 from repro.obs import TRACER
 from repro.runtime.traffic import IterationProfile, ModelConfig
+from repro.runtime.workload import Workload
 from repro.sim.metrics import RunMetrics
 from repro.sim.runner import sized_model_config
 from repro.stages.artifacts import StreamArtifact
@@ -88,7 +88,8 @@ class ProfileBundle:
     cfg: ModelConfig
     cmh_ratios: Dict[str, float]
     push_replays: List[Tuple[int, int]]
-    upstream: Tuple[str, str, str]  # stream/replay/compress digests
+    #: stream/replay/compress digests (None from :func:`profile_bundle`)
+    upstream: Optional[Tuple[str, str, str]]
 
 
 class StagePricer:
@@ -150,19 +151,6 @@ class StagePricer:
         _count("stream.partition.computed")
         return part
 
-    def _workload(self, app: str, dataset: str, preprocessing: str):
-        # Mirrors Runner.workload (including the self-contained "sp"
-        # app, which carries its own synthetic matrices).
-        from repro.apps import build_workload
-        from repro.graph.datasets import load_preprocessed
-        with TRACER.span("runner.build_workload", app=app,
-                         dataset=dataset, preprocessing=preprocessing):
-            if app == "sp":
-                return build_workload("sp", scale=self.scale)
-            graph = load_preprocessed(dataset, preprocessing,
-                                      self.scale)
-            return build_workload(app, graph=graph)
-
     def bundle(self, app: str, dataset: str,
                preprocessing: str = "none") -> ProfileBundle:
         """Run (or reuse) the three artifact stages for one identity."""
@@ -181,8 +169,8 @@ class StagePricer:
                                         self.scale)
         stream: StreamArtifact = self._evaluate(
             "stream", stream_key,
-            lambda: _generate(self._workload(app, dataset,
-                                             preprocessing),
+            lambda: _generate(load_workload(app, dataset, preprocessing,
+                                            self.scale),
                               self.partitions, self._fetch_partition),
             **labels)
         stream_digest = artifact_digest(stream)
@@ -206,21 +194,9 @@ class StagePricer:
             lambda: _compress(stream, replay, cfg), **labels)
         compress_digest = artifact_digest(compress)
 
-        bundle = ProfileBundle(
-            profiles=assemble_profiles(stream, replay, compress,
-                                       cfg.system.num_cores),
-            view=PricingView(
-                app=app, frontier_based=stream.frontier_based,
-                dst_value_bytes=stream.dst_value_bytes,
-                graph=GraphDims(num_vertices=stream.num_vertices)),
-            cfg=cfg,
-            cmh_ratios=compress.cmh_ratios,
-            push_replays=[
-                (rp.push_dest_misses,
-                 rp.push_dest_write_bytes // LINE_BYTES)
-                for rp in replay.iterations],
-            upstream=(stream_digest, replay_digest, compress_digest),
-        )
+        bundle = _assemble(stream, replay, compress, cfg, app,
+                           (stream_digest, replay_digest,
+                            compress_digest))
         with self._lock:
             self._bundles[ident] = bundle
         return bundle
@@ -288,3 +264,56 @@ def _compress(stream: StreamArtifact, replay, cfg: ModelConfig):
     from repro.stages.compress import compress_streams
     return compress_streams(stream, replay, cfg.id_scale,
                             cfg.sort_updates)
+
+
+def load_workload(app: str, dataset: str, preprocessing: str,
+                  scale: int) -> Workload:
+    """Build the workload of one (app, dataset, preprocessing) identity.
+
+    The one workload builder: :class:`StagePricer` calls it uncached
+    (the stream stage keeps only the streams it extracts), and
+    :meth:`repro.sim.Runner.workload` memoizes it for callers that
+    inspect a workload directly.  ``sp`` carries its own synthetic
+    matrices, so it ignores ``dataset`` and ``preprocessing``.
+    """
+    from repro.apps import build_workload
+    from repro.graph.datasets import load_preprocessed
+    with TRACER.span("runner.build_workload", app=app, dataset=dataset,
+                     preprocessing=preprocessing):
+        if app == "sp":
+            return build_workload("sp", scale=scale)
+        graph = load_preprocessed(dataset, preprocessing, scale)
+        return build_workload(app, graph=graph)
+
+
+def profile_bundle(workload: Workload, cfg: ModelConfig) -> ProfileBundle:
+    """Stream → replay → compress → assemble for an explicit config.
+
+    Uncached and unkeyed: for callers that price one workload under
+    model configs of their own, like the LLC sweep's scaled caches
+    (:mod:`repro.sim.sweeps`).  Pass the bundle's pieces to
+    :func:`~repro.stages.timing.price_staged`.
+    """
+    stream = _generate(workload)
+    replay = _replay(stream, stage_config_slice("replay", cfg))
+    compress = _compress(stream, replay, cfg)
+    return _assemble(stream, replay, compress, cfg, workload.app, None)
+
+
+def _assemble(stream: StreamArtifact, replay, compress, cfg: ModelConfig,
+              app: str, upstream: Optional[Tuple[str, str, str]]
+              ) -> ProfileBundle:
+    return ProfileBundle(
+        profiles=assemble_profiles(stream, replay, compress,
+                                   cfg.system.num_cores),
+        view=PricingView(
+            app=app, frontier_based=stream.frontier_based,
+            dst_value_bytes=stream.dst_value_bytes,
+            graph=GraphDims(num_vertices=stream.num_vertices)),
+        cfg=cfg,
+        cmh_ratios=compress.cmh_ratios,
+        push_replays=[
+            (rp.push_dest_misses, rp.push_dest_write_bytes // LINE_BYTES)
+            for rp in replay.iterations],
+        upstream=upstream,
+    )

@@ -3,11 +3,9 @@
 The cheap suffix of the pipeline: stitch the three upstream artifacts
 back into :class:`~repro.runtime.traffic.IterationProfile` records
 (computing the work-stealing load imbalance here, since it depends on
-the core count — a timing knob), then price one scheme through the
-*same* aggregation code as the monolithic path
-(:func:`repro.schemes.pricing._price_spec` /
-:func:`~repro.schemes.pricing._simulate_cmh`), so staged and monolithic
-results are bit-identical by construction.
+the core count — a timing knob), then price one scheme through
+:func:`repro.schemes.pricing.simulate_spec`, with the compress stage's
+CMH ratios and the replay stage's frozen Push replays.
 
 The config slice is {num_cores, bytes_per_cycle, llc_lines} plus the
 scheme identity: editing memory bandwidth, the core count, or a cost
@@ -17,11 +15,11 @@ constant recomputes only this stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.runtime.scheduling import iteration_imbalance
 from repro.runtime.traffic import IterationProfile, ModelConfig
-from repro.schemes.pricing import _price_spec, _simulate_cmh
+from repro.schemes.pricing import simulate_spec
 from repro.schemes.spec import SchemeSpec
 from repro.sim.metrics import RunMetrics
 from repro.stages.artifacts import (
@@ -42,21 +40,19 @@ class GraphDims:
 class PricingView:
     """Lightweight stand-in for a Workload inside the cost models.
 
-    The models read only these attributes (plus ``iterations``, which
-    the staged CMH path replaces with frozen replays).
+    The models read only these attributes.
     """
 
     app: str
     frontier_based: bool
     dst_value_bytes: int
     graph: GraphDims
-    iterations: Optional[list] = None
 
 
 def assemble_profiles(stream: StreamArtifact, replay: ReplayArtifact,
                       compress: CompressArtifact,
                       num_cores: int) -> List[IterationProfile]:
-    """Reconstruct the monolithic profiler's output from artifacts."""
+    """Stitch the three artifacts into per-iteration profiles."""
     profiles = []
     for it, rp, cp in zip(stream.iterations, replay.iterations,
                           compress.iterations):
@@ -107,9 +103,6 @@ def price_staged(spec: SchemeSpec, profiles: List[IterationProfile],
                  cmh_ratios: Dict[str, float],
                  push_replays: List[Tuple[int, int]]) -> RunMetrics:
     """Price one scheme against assembled profiles and frozen extras."""
-    if spec.cmh:
-        return _simulate_cmh(view, profiles, spec, cfg, dataset,
-                             preprocessing, ratios=cmh_ratios,
-                             replays=push_replays)
-    return _price_spec(view, profiles, spec, cfg, dataset,
-                       preprocessing)
+    return simulate_spec(view, profiles, spec, cfg, dataset,
+                         preprocessing, ratios=cmh_ratios,
+                         replays=push_replays)

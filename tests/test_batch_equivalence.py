@@ -15,12 +15,8 @@ from hypothesis import strategies as st
 from repro.config import CacheConfig, SystemConfig
 from repro.memory import FastLruCache, MemoryHierarchy, SetAssocCache
 from repro.memory.batch import lru_hit_mask, replay_lru
-from repro.runtime.traffic import (
-    _lru_scatter,
-    _phi_coalesce,
-    lru_scatter_replay,
-    phi_coalesce_replay,
-)
+from repro.runtime.traffic import lru_scatter_replay, phi_coalesce_replay
+from tests.oracles.scalar import lru_scatter_oracle, phi_coalesce_oracle
 
 
 def scalar_reference(cache, lines, writes):
@@ -119,7 +115,7 @@ class TestReplayKernels:
     def test_lru_scatter_replay(self, trace, capacity):
         lines = np.array(trace, dtype=np.int64)
         assert lru_scatter_replay(lines, capacity) == \
-            _lru_scatter(lines, capacity)
+            lru_scatter_oracle(lines, capacity)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 60), max_size=300),
@@ -130,7 +126,7 @@ class TestReplayKernels:
         dsts = np.array(dsts, dtype=np.int64)
         values = (np.arange(dsts.size, dtype=np.uint32) * 7 + 3
                   if with_values else np.empty(0))
-        ids_a, vals_a, lines_a = _phi_coalesce(dsts, values, dvb,
+        ids_a, vals_a, lines_a = phi_coalesce_oracle(dsts, values, dvb,
                                                capacity)
         ids_b, vals_b, lines_b = phi_coalesce_replay(dsts, values, dvb,
                                                      capacity)
@@ -149,7 +145,7 @@ class TestReplayKernels:
         lines = np.concatenate(rows).astype(np.int64) // 16
         for capacity in (8, 64, 113):
             assert lru_scatter_replay(lines, capacity) == \
-                _lru_scatter(lines, capacity)
+                lru_scatter_oracle(lines, capacity)
 
     def test_hit_mask_cold_lru(self):
         lines = np.array([1, 2, 3, 1, 4, 2], dtype=np.int64)

@@ -61,3 +61,22 @@ class TestScaling:
         system = model_system(1024)
         assert system.freq_ghz == 3.5
         assert system.memory.total_gb_per_sec == pytest.approx(51.2)
+
+
+class TestOneDefaultScale:
+    def test_model_system_matches_runner_default(self):
+        """One DEFAULT_SCALE: the co-scaled system and the runner's
+        default system (and its 4096-scaled datasets) agree."""
+        from repro.sim import Runner
+        assert model_system() == Runner().system
+
+    def test_dataset_and_cli_defaults_are_the_config_constant(self):
+        from repro import DEFAULT_SCALE
+        from repro.cli import build_parser
+        from repro.graph import datasets
+        assert DEFAULT_SCALE == datasets.DEFAULT_SCALE == 4096
+        parser = build_parser()
+        for argv in (["experiment", "fig07"], ["report"],
+                     ["simulate", "--app", "bfs", "--scheme", "push",
+                      "--dataset", "ukl"]):
+            assert parser.parse_args(argv).scale == DEFAULT_SCALE

@@ -57,8 +57,8 @@ class TestBlockedGraph:
         """Block-local ids have bounded deltas: blocked streams compress
         at least as well as whole-graph rows (Sec II-B's point that the
         layout should match the access pattern)."""
-        from repro.runtime import rows_compressed_bytes
+        from repro.runtime import rows_compressed_bytes_from
         g = community_graph(1000, 8000, seed_stream="blocked-comp")
-        whole = rows_compressed_bytes(g, np.arange(g.num_vertices), 1)
+        whole = rows_compressed_bytes_from(g.neighbors, g.out_degrees(), 1)
         blocked = BlockedGraph(g, num_blocks=8).compressed_block_bytes()
         assert blocked <= whole * 1.05

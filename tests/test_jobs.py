@@ -333,15 +333,15 @@ class TestJobRunner:
         runner = JobRunner(scale=SCALE)
         workload = runner.workload("dc", "arb")
         assert runner.profiles("dc", "arb")
-        assert runner.config_for(workload) is \
-            runner.config_for(workload)
+        assert runner.config_for(workload) == \
+            runner.pricer.bundle("dc", "arb", "none").cfg
 
 
 class TestPlans:
     def test_fig07_plan_covers_all_schemes(self):
-        from repro.runtime.strategies import SCHEMES
+        from repro.schemes import scheme_names
         requests = experiment_requests(["fig07"])
-        assert {r.scheme for r in requests} == set(SCHEMES)
+        assert {r.scheme for r in requests} == set(scheme_names("paper"))
         assert all(r.profile_key == ("bfs", "ukl", "none")
                    for r in requests)
 

@@ -70,7 +70,7 @@ def test_run_metrics_roundtrip(runner):
 
 def test_workload_roundtrip_prices_identically(runner):
     """A shipped workload simulates exactly like the original."""
-    from repro.runtime.strategies import simulate_scheme
+    from repro.schemes import simulate_scheme
     workload = runner.workload("dc", "arb")
     profiles = runner.profiles("dc", "arb")
     cfg = runner.config_for(workload)

@@ -14,12 +14,8 @@ import pytest
 from repro.compression import bdi_line_size, bdi_line_sizes
 from repro.memory.address import LINE_BYTES
 from repro.memory.compressed import LCP_SLOT_SIZES, PAGE_BYTES
-from repro.schemes.pricing import (
-    _bdi_ratio,
-    _bdi_ratio_scalar,
-    _lcp_fetch_ratio,
-    _lcp_fetch_ratio_scalar,
-)
+from repro.schemes.pricing import _bdi_ratio, _lcp_fetch_ratio
+from tests.oracles.scalar import _bdi_ratio_scalar, _lcp_fetch_ratio_scalar
 
 
 def _buffers():

@@ -1,4 +1,5 @@
-"""Tests for the per-iteration traffic profiler."""
+"""Tests for the per-iteration traffic profiler (the staged pipeline's
+stages, run uncached by :func:`repro.stages.profile_bundle`)."""
 
 import numpy as np
 
@@ -8,13 +9,12 @@ from repro.graph import community_graph
 from repro.runtime import (
     ModelConfig,
     chunked_ids_values_compressed,
-    gather_rows,
-    profile_iteration,
-    profile_workload,
-    rows_compressed_bytes,
+    rows_compressed_bytes_from,
 )
-from repro.runtime.traffic import _lru_scatter, _phi_coalesce
+from repro.runtime.traffic import lru_scatter_replay, phi_coalesce_replay
+from repro.runtime.traffic_array import gather_row_stream
 from repro.compression import DeltaCodec
+from repro.stages import profile_bundle
 
 
 def cfg(llc_kb=16):
@@ -23,6 +23,15 @@ def cfg(llc_kb=16):
     system = replace(system, llc=replace(system.llc,
                                          size_bytes=llc_kb * 1024))
     return ModelConfig(system=system, id_scale=4096)
+
+
+def gather_rows(g, sources):
+    return gather_row_stream(g.offsets, g.neighbors, g.out_degrees(),
+                             sources, g.num_vertices)
+
+
+def staged_profiles(workload, model_cfg):
+    return profile_bundle(workload, model_cfg).profiles
 
 
 class TestGatherRows:
@@ -54,7 +63,7 @@ class TestCompressedSizes:
             row = expand_ids(g.row(v), 4096).astype(np.uint64)
             if row.size:
                 expected += min(codec.encoded_size(row), 4 * row.size + 1)
-        got = rows_compressed_bytes(g, np.arange(120), 4096)
+        got = rows_compressed_bytes_from(g.neighbors, g.out_degrees(), 4096)
         assert got == expected
 
     def test_chunked_updates_sorting_helps(self):
@@ -85,7 +94,7 @@ class TestCompressedSizes:
 class TestCacheReplays:
     def test_lru_scatter_counts(self):
         lines = np.array([0, 1, 0, 2, 3, 0], dtype=np.int64)
-        misses, writebacks = _lru_scatter(lines, capacity=2)
+        misses, writebacks = lru_scatter_replay(lines, capacity=2)
         # 0 miss, 1 miss, 0 hit, 2 miss (evict 1), 3 miss (evict 0),
         # 0 miss (evict 2): 5 misses; evictions 3 + final flush 2.
         assert misses == 5
@@ -93,29 +102,29 @@ class TestCacheReplays:
 
     def test_lru_scatter_all_hits_when_fitting(self):
         lines = np.tile(np.arange(4, dtype=np.int64), 10)
-        misses, writebacks = _lru_scatter(lines, capacity=8)
+        misses, writebacks = lru_scatter_replay(lines, capacity=8)
         assert misses == 4
         assert writebacks == 4  # final flush only
 
     def test_phi_coalesces_same_destination(self):
         dsts = np.array([5, 5, 5, 5], dtype=np.int64)
         vals = np.arange(4, dtype=np.uint32)
-        ids, out_vals, lines = _phi_coalesce(dsts, vals, 4, 16)
+        ids, out_vals, lines = phi_coalesce_replay(dsts, vals, 4, 16)
         assert ids.tolist() == [5]       # four updates coalesced to one
         assert lines == 1
 
     def test_phi_distinct_dsts_in_one_line_all_spill(self):
         dsts = np.array([0, 1, 2, 3], dtype=np.int64)
-        ids, _vals, lines = _phi_coalesce(dsts, np.arange(4, dtype=np.uint32),
-                                          4, 16)
+        ids, _vals, lines = phi_coalesce_replay(
+            dsts, np.arange(4, dtype=np.uint32), 4, 16)
         assert sorted(ids.tolist()) == [0, 1, 2, 3]
         assert lines == 1  # all share a line (16 x 4B per line)
 
     def test_phi_eviction_spills_midstream(self):
         # Capacity 1 line: alternating far-apart lines evict each other.
         dsts = np.array([0, 100, 0, 100], dtype=np.int64)
-        ids, _vals, lines = _phi_coalesce(dsts, np.arange(4, dtype=np.uint32),
-                                          4, 1)
+        ids, _vals, lines = phi_coalesce_replay(
+            dsts, np.arange(4, dtype=np.uint32), 4, 1)
         assert lines == 4
         assert ids.size == 4
 
@@ -124,8 +133,7 @@ class TestIterationProfile:
     def test_all_active_pagerank_profile(self):
         g = community_graph(400, 3000, seed_stream="traffic-5")
         workload = pagerank.build_workload(g)
-        profile = profile_iteration(workload, workload.iterations[0],
-                                    cfg())
+        profile = staged_profiles(workload, cfg())[0]
         assert profile.num_edges == g.num_edges
         assert profile.num_sources == g.num_vertices
         assert profile.frontier_bytes == 0
@@ -137,7 +145,7 @@ class TestIterationProfile:
     def test_frontier_app_profile(self):
         g = community_graph(400, 3000, seed_stream="traffic-6")
         workload = bfs_app.build_workload(g)
-        profiles = profile_workload(workload, cfg())
+        profiles = staged_profiles(workload, cfg())
         assert len(profiles) == len(workload.iterations)
         mid = profiles[min(1, len(profiles) - 1)]
         assert mid.frontier_bytes > 0
@@ -147,23 +155,20 @@ class TestIterationProfile:
     def test_bigger_cache_never_increases_misses(self):
         g = community_graph(600, 5000, seed_stream="traffic-7")
         workload = pagerank.build_workload(g)
-        small = profile_iteration(workload, workload.iterations[0],
-                                  cfg(llc_kb=4))
-        big = profile_iteration(workload, workload.iterations[0],
-                                cfg(llc_kb=64))
+        small = staged_profiles(workload, cfg(llc_kb=4))[0]
+        big = staged_profiles(workload, cfg(llc_kb=64))[0]
         assert big.push_dest_misses <= small.push_dest_misses
         assert big.phi_spilled_updates <= small.phi_spilled_updates
 
     def test_sorted_updates_never_larger(self):
         g = community_graph(500, 4000, seed_stream="traffic-8")
         workload = pagerank.build_workload(g)
-        p = profile_iteration(workload, workload.iterations[0], cfg())
+        p = staged_profiles(workload, cfg())[0]
         assert p.update_bytes_compressed <= \
             p.update_bytes_compressed_unsorted
 
     def test_num_bins_scale_with_vertices(self):
         g = community_graph(1000, 5000, seed_stream="traffic-9")
         workload = pagerank.build_workload(g)
-        p = profile_iteration(workload, workload.iterations[0],
-                              cfg(llc_kb=4))
+        p = staged_profiles(workload, cfg(llc_kb=4))[0]
         assert p.num_bins >= 2

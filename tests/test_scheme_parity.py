@@ -2,21 +2,22 @@
 for bit.
 
 The legacy string-suffix dispatch (``runtime/strategies.py`` before the
-scheme registry) is frozen below, constants included, and every
+scheme registry) is frozen below, constants included.  It prices the
+frozen monolithic profiles (``tests/oracles/monolithic.py``), and every
 (app x scheme x preprocessing) combination — plus the Fig 19/20
-ablations — is priced through both paths.  ``RunMetrics`` equality is
-exact (dataclass ``==``, no tolerance): the refactor moved code, it must
-not move numbers.
+ablations — must come out of :meth:`Runner.run` (registry → staged
+pipeline) identically.  ``RunMetrics`` equality is exact (dataclass
+``==``, no tolerance): the refactors moved code, they must not move
+numbers.
 """
 
 import pytest
 
 from repro.memory.address import LINE_BYTES
-from repro.schemes import simulate_scheme
-from repro.schemes.pricing import cmh_ratios
 from repro.sim import Runner
 from repro.sim.metrics import RunMetrics, merge_traffic
 from repro.sim.timing import PhaseWork, SchemeCosts, phase_cycles
+from tests.oracles.monolithic import OracleRunner, cmh_ratios, gather_rows
 
 TEST_SCALE = 16384
 
@@ -120,7 +121,7 @@ def legacy_simulate_cmh(workload, profiles, base, cfg, dataset,
                         preprocessing):
     import numpy as np
 
-    from repro.runtime.traffic import gather_rows, lru_scatter_replay
+    from repro.runtime.traffic import lru_scatter_replay
     ratios = cmh_ratios(workload, cfg)
     costs = LEGACY_COSTS[base]
     from dataclasses import replace
@@ -232,6 +233,11 @@ def runner():
     return Runner(scale=TEST_SCALE)
 
 
+@pytest.fixture(scope="module")
+def oracle():
+    return OracleRunner(scale=TEST_SCALE)
+
+
 def _cases(scheme):
     """Ablation kwargs to sweep for one scheme (Fig 19/20 variants)."""
     cases = [{}]
@@ -244,30 +250,30 @@ def _cases(scheme):
 
 @pytest.mark.parametrize("preprocessing", ["none", "dfs"])
 @pytest.mark.parametrize("app", APPS)
-def test_registry_path_matches_legacy(runner, app, preprocessing):
+def test_registry_path_matches_legacy(runner, oracle, app,
+                                     preprocessing):
     dataset = "nlp" if app == "sp" else "ukl"
-    workload = runner.workload(app, dataset, preprocessing)
-    profiles = runner.profiles(app, dataset, preprocessing)
-    cfg = runner.config_for(workload)
+    workload = oracle.workload(app, dataset, preprocessing)
+    profiles = oracle.profiles(app, dataset, preprocessing)
+    cfg = oracle.config_for(workload)
     for scheme in SCHEMES:
         for kwargs in _cases(scheme):
             legacy = legacy_simulate_scheme(
                 workload, profiles, scheme, cfg, dataset=dataset,
                 preprocessing=preprocessing, **kwargs)
-            new = simulate_scheme(
-                workload, profiles, scheme, cfg, dataset=dataset,
-                preprocessing=preprocessing, **kwargs)
+            new = runner.run(app, scheme, dataset, preprocessing,
+                             **kwargs)
             assert new == legacy, (scheme, kwargs)
 
 
-def test_legacy_misparse_is_now_an_error(runner):
+def test_legacy_misparse_is_now_an_error(runner, oracle):
     """`push+bogus` silently priced as plain push before; now it names
     the registered schemes instead."""
-    workload = runner.workload("dc", "arb", "none")
-    profiles = runner.profiles("dc", "arb", "none")
-    cfg = runner.config_for(workload)
+    workload = oracle.workload("dc", "arb", "none")
+    profiles = oracle.profiles("dc", "arb", "none")
+    cfg = oracle.config_for(workload)
     silently_push = legacy_simulate_scheme(workload, profiles,
                                            "push+bogus", cfg)
     assert silently_push.scheme == "push+bogus"  # priced as plain push!
     with pytest.raises(KeyError, match="registered schemes"):
-        simulate_scheme(workload, profiles, "push+bogus", cfg)
+        runner.run("dc", "push+bogus", "arb", "none")

@@ -218,3 +218,21 @@ class TestJobsIdentity:
         by_string = canonical_request(
             "dc", "phi+spzip[parts=adjacency]", "ukl", "none")
         assert by_kwarg == by_string
+
+
+class TestCmhPricingInputs:
+    def test_cmh_needs_measured_ratios_and_replays(self):
+        """CMH prices from the compress stage's ratios and the replay
+        stage's Push replays; nothing replays a workload in place."""
+        from repro.schemes import resolve, simulate_spec
+        from repro.sim import Runner
+        runner = Runner(scale=65536)
+        bundle = runner.pricer.bundle("dc", "arb", "none")
+        spec = resolve("push+cmh")
+        with pytest.raises(ValueError, match="BDI/LCP ratios"):
+            simulate_spec(bundle.view, bundle.profiles, spec, bundle.cfg)
+        priced = simulate_spec(bundle.view, bundle.profiles, spec,
+                               bundle.cfg, "arb", "none",
+                               ratios=bundle.cmh_ratios,
+                               replays=bundle.push_replays)
+        assert priced == runner.run("dc", "push+cmh", "arb", "none")

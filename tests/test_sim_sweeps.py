@@ -60,3 +60,41 @@ class TestCoreSweep:
                           scheme="phi+spzip")
         # Bandwidth-bound: 16x the cores buys far less than 16x.
         assert rows[1]["speedup"] < 8.0
+
+
+class TestOracleParity:
+    """Sweep rows equal the frozen monolithic path's, exactly — CMH
+    cells included (they price from the stage artifacts' ratios and
+    Push replays, the oracle from an in-place replay)."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        from tests.oracles.monolithic import OracleRunner
+        return OracleRunner(scale=65536)
+
+    def test_bandwidth_sweep(self, runner, oracle):
+        from tests.oracles import monolithic
+        for app, dataset, prep in (("pr", "ukl", "none"),
+                                   ("bfs", "arb", "dfs")):
+            kwargs = dict(factors=(0.5, 1.0, 3.0),
+                          schemes=("push", "push+cmh", "ub+cmh",
+                                   "phi+spzip"))
+            assert bandwidth_sweep(runner, app, dataset, prep,
+                                   **kwargs) == \
+                monolithic.bandwidth_sweep(oracle, app, dataset, prep,
+                                           **kwargs)
+
+    def test_llc_sweep(self, runner, oracle):
+        from tests.oracles import monolithic
+        kwargs = dict(factors=(0.25, 1.0, 2.0),
+                      schemes=("push", "push+cmh", "phi+spzip"))
+        assert llc_sweep(runner, "cc", "web", "none", **kwargs) == \
+            monolithic.llc_sweep(oracle, "cc", "web", "none", **kwargs)
+
+    @pytest.mark.parametrize("scheme", ["push", "push+cmh", "phi+spzip"])
+    def test_core_sweep(self, runner, oracle, scheme):
+        from tests.oracles import monolithic
+        assert core_sweep(runner, "prd", "twi", "none", counts=(4, 16, 64),
+                          scheme=scheme) == \
+            monolithic.core_sweep(oracle, "prd", "twi", "none",
+                                  counts=(4, 16, 64), scheme=scheme)

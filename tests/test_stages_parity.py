@@ -1,14 +1,16 @@
-"""Staged parity: the stage-graph pipeline reproduces the monolithic
-pricing path bit for bit.
+"""Staged parity: the stage-graph pipeline reproduces the frozen
+monolithic pricing path bit for bit.
 
-The PR-3 golden-parity idea applied to the stage refactor: every
-(app x scheme x preprocessing) cell — plus the Fig 19/20 ablations and
-a seeded random sample over scales and datasets — is priced both
-through the plain :class:`~repro.sim.Runner` (workload → profile →
-simulate in one pass) and through :class:`~repro.stages.StagePricer`
-(stream-gen → cache-replay → compress → timing, content-addressed).
-``RunMetrics`` equality is exact (dataclass ``==``, no tolerance): the
-refactor moved code across stage boundaries, it must not move numbers.
+Every (app x scheme x preprocessing) cell — plus the Fig 19/20
+ablations and a seeded random sample over scales and datasets — is
+priced both through the frozen monolithic oracle
+(``tests/oracles/monolithic.py``: workload → profile → simulate in one
+pass) and through :class:`~repro.stages.StagePricer` (stream-gen →
+cache-replay → compress → timing, content-addressed).  ``RunMetrics``
+equality is exact (dataclass ``==``, no tolerance): the refactor moved
+code across stage boundaries, it must not move numbers.  The
+:class:`~repro.sim.Runner` facade's profiles and per-input configs are
+pinned to the oracle's too.
 """
 
 import random
@@ -17,6 +19,7 @@ import pytest
 
 from repro.sim import Runner
 from repro.stages import StagePricer
+from tests.oracles.monolithic import OracleRunner
 
 TEST_SCALE = 16384
 
@@ -28,7 +31,7 @@ ALL_PARTS = ("adjacency", "updates", "vertex")
 
 @pytest.fixture(scope="module")
 def runner():
-    return Runner(scale=TEST_SCALE)
+    return OracleRunner(scale=TEST_SCALE)
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +79,25 @@ def test_randomized_cells_match():
         preprocessing = rng.choice(("none", "dfs", "degree"))
         scheme = rng.choice(SCHEMES)
         if scale not in runners:
-            runners[scale] = Runner(scale=scale)
+            runners[scale] = OracleRunner(scale=scale)
             pricers[scale] = StagePricer(scale=scale)
         mono = runners[scale].run(app, scheme, dataset, preprocessing)
         staged = pricers[scale].price(app, scheme, dataset,
                                      preprocessing)
         assert staged == mono, (scale, app, scheme, dataset,
                                 preprocessing)
+
+
+@pytest.mark.parametrize("preprocessing", ["none", "dfs"])
+@pytest.mark.parametrize("app", APPS)
+def test_runner_facade_matches_oracle(runner, app, preprocessing):
+    """``Runner.profiles``/``config_for`` read the pricer's bundle and
+    equal the monolithic profiler's output and sizing exactly."""
+    dataset = "nlp" if app == "sp" else "ukl"
+    facade = Runner(scale=TEST_SCALE)
+    workload = runner.workload(app, dataset, preprocessing)
+    assert facade.profiles(app, dataset, preprocessing) == \
+        runner.profiles(app, dataset, preprocessing)
+    cfg = runner.config_for(workload)
+    assert facade.config_for(workload) == cfg
+    assert facade.pricer.bundle(app, dataset, preprocessing).cfg == cfg

@@ -1,8 +1,9 @@
 """Array-native stream generation vs the scalar oracles, bit for bit.
 
-The hot profiling path (:mod:`repro.runtime.traffic`) emits every
-per-strategy access stream from raw CSR arrays in vectorized passes; the
-``*_scalar`` oracles in :mod:`repro.runtime.traffic_array` walk the same
+The staged pipeline (:mod:`repro.stages`) emits every per-strategy
+access stream from raw CSR arrays in vectorized passes
+(:mod:`repro.runtime.traffic_array`, :mod:`repro.runtime.traffic`); the
+``*_scalar`` oracles in ``tests/oracles/scalar.py`` walk the same
 definitions vertex by vertex.  These tests hold the two sides exactly
 equal — generator by generator, and end to end through full iteration
 profiles — across hostile shapes: tiny LLCs, ``id_scale=1``, empty and
@@ -18,15 +19,17 @@ from repro.apps import bfs as bfs_app, pagerank
 from repro.config import SystemConfig
 from repro.graph import community_graph
 from repro.graph.csr import CsrGraph
-from repro.runtime import ModelConfig, profile_iteration
+from repro.runtime import ModelConfig
 from repro.runtime import traffic_array as ta
 from repro.runtime.traffic import (
     array_compressed_bytes,
     chunked_ids_values_compressed,
-    gather_rows,
     rows_compressed_bytes_from,
 )
 from repro.runtime.workload import Iteration, Workload
+from repro.stages import profile_bundle
+from tests.oracles import scalar as so
+from tests.oracles.monolithic import profile_iteration
 
 
 def model_cfg(llc_kb=16, id_scale=4096, sort=True):
@@ -35,6 +38,11 @@ def model_cfg(llc_kb=16, id_scale=4096, sort=True):
                                          size_bytes=llc_kb * 1024))
     return ModelConfig(system=system, id_scale=id_scale,
                        sort_updates=sort)
+
+
+def gather_rows(g, sources):
+    return ta.gather_row_stream(g.offsets, g.neighbors, g.out_degrees(),
+                                sources, g.num_vertices)
 
 
 def hostile_graph(seed=0, num_vertices=96):
@@ -76,7 +84,7 @@ class TestGeneratorEquivalence:
         fast = ta.gather_row_stream(g.offsets, g.neighbors,
                                     g.out_degrees(), sources,
                                     g.num_vertices)
-        slow = ta.gather_row_stream_scalar(g.offsets, g.neighbors,
+        slow = so.gather_row_stream_scalar(g.offsets, g.neighbors,
                                            g.out_degrees(), sources,
                                            g.num_vertices)
         np.testing.assert_array_equal(fast, slow)
@@ -87,7 +95,7 @@ class TestGeneratorEquivalence:
         for dvb in (4, 8, 64, 100):
             np.testing.assert_array_equal(
                 ta.push_scatter_lines(dsts, dvb),
-                ta.push_scatter_lines_scalar(dsts, dvb))
+                so.push_scatter_lines_scalar(dsts, dvb))
 
     def test_ub_bin_stream(self, make_graph, make_sources):
         g = make_graph()
@@ -96,7 +104,7 @@ class TestGeneratorEquivalence:
         for vpb in (1, 7, 64, 10_000):
             for v in (vals, np.empty(0, dtype=np.uint32)):
                 f_ids, f_vals, f_bins = ta.ub_bin_stream(dsts, v, vpb)
-                s_ids, s_vals, s_bins = ta.ub_bin_stream_scalar(
+                s_ids, s_vals, s_bins = so.ub_bin_stream_scalar(
                     dsts, v, vpb)
                 np.testing.assert_array_equal(f_ids, s_ids)
                 np.testing.assert_array_equal(f_vals, s_vals)
@@ -108,7 +116,7 @@ class TestGeneratorEquivalence:
         for svb in (4, 8, 128):
             np.testing.assert_array_equal(
                 ta.pull_gather_lines(neighbors, svb),
-                ta.pull_gather_lines_scalar(neighbors, svb))
+                so.pull_gather_lines_scalar(neighbors, svb))
 
     def test_row_line_bytes(self, make_graph, make_sources):
         g = make_graph()
@@ -116,7 +124,7 @@ class TestGeneratorEquivalence:
         for eb in (4, 8):
             assert ta.row_line_bytes(g.offsets, g.num_vertices,
                                      g.num_edges, sources, eb) == \
-                ta.row_line_bytes_scalar(g.offsets, g.num_vertices,
+                so.row_line_bytes_scalar(g.offsets, g.num_vertices,
                                          g.num_edges, sources, eb)
 
     def test_scattered_line_bytes(self, make_graph, make_sources):
@@ -124,7 +132,7 @@ class TestGeneratorEquivalence:
         sources = make_sources(g)
         for eb in (4, 8):
             assert ta.scattered_line_bytes(sources, eb) == \
-                ta.scattered_line_bytes_scalar(sources, eb)
+                so.scattered_line_bytes_scalar(sources, eb)
 
 
 class TestCompressedSizeOracles:
@@ -137,7 +145,7 @@ class TestCompressedSizeOracles:
         ids = gather_rows(g, sources)
         degrees = g.out_degrees()[sources]
         assert rows_compressed_bytes_from(ids, degrees, id_scale) == \
-            ta.rows_compressed_bytes_scalar(ids, degrees, id_scale)
+            so.rows_compressed_bytes_scalar(ids, degrees, id_scale)
 
     @pytest.mark.parametrize("id_scale", [1, 4096])
     @pytest.mark.parametrize("sort", [False, True])
@@ -151,7 +159,7 @@ class TestCompressedSizeOracles:
                      np.empty(0, dtype=np.uint32)):
             assert chunked_ids_values_compressed(
                 ids, vals, id_scale, sort) == \
-                ta.chunked_ids_values_compressed_scalar(
+                so.chunked_ids_values_compressed_scalar(
                     ids, vals, id_scale, sort)
 
     def test_array_compressed(self):
@@ -162,24 +170,16 @@ class TestCompressedSizeOracles:
                        rng.standard_normal(65),
                        np.full(40, -1.5e300)):
             assert array_compressed_bytes(values) == \
-                ta.array_compressed_bytes_scalar(values)
+                so.array_compressed_bytes_scalar(values)
 
     def test_expand_id_scalar_matches_vectorized(self):
         from repro.graph.idspace import expand_ids
         ids = np.arange(0, 5000, 3, dtype=np.uint32)
         for scale in (1, 2, 3, 4096):
             fast = expand_ids(ids, scale)
-            slow = [ta.expand_id_scalar(int(v), scale)
+            slow = [so.expand_id_scalar(int(v), scale)
                     for v in ids.tolist()]
             assert fast.tolist() == slow
-
-
-class TestReplayOracles:
-    def test_lru_oracle_is_traffic_reference(self):
-        # The moved oracle must stay the one traffic re-exports.
-        from repro.runtime.traffic import _lru_scatter, _phi_coalesce
-        assert _lru_scatter is ta.lru_scatter_oracle
-        assert _phi_coalesce is ta.phi_coalesce_oracle
 
 
 def hostile_workload(app_like="pr"):
@@ -200,19 +200,23 @@ CONFIGS = [
 @pytest.mark.parametrize("cfg", CONFIGS)
 @pytest.mark.parametrize("app_like", ["pr", "bfs"])
 class TestFullProfileEquivalence:
-    """End to end: the vectorized profiler equals the scalar profiler."""
+    """End to end: the staged profiles equal the scalar profiler (and
+    the frozen monolithic one)."""
 
     def test_profiles_bit_identical(self, cfg, app_like):
         workload = hostile_workload(app_like)
-        for iteration in workload.iterations[:4]:
-            fast = profile_iteration(workload, iteration, cfg)
-            slow = ta.profile_iteration_scalar(workload, iteration, cfg)
+        staged = profile_bundle(workload, cfg).profiles
+        for fast, iteration in zip(staged, workload.iterations[:4]):
+            slow = so.profile_iteration_scalar(workload, iteration, cfg)
             assert fast == slow  # dataclass equality, field by field
+            assert profile_iteration(workload, iteration, cfg) == slow
 
     def test_community_graph_profiles(self, cfg, app_like):
         g = community_graph(140, 900, seed_stream=f"eq-{app_like}")
         app = pagerank if app_like == "pr" else bfs_app
         workload = app.build_workload(g)
-        for iteration in workload.iterations[:3]:
-            assert profile_iteration(workload, iteration, cfg) == \
-                ta.profile_iteration_scalar(workload, iteration, cfg)
+        staged = profile_bundle(workload, cfg).profiles
+        for fast, iteration in zip(staged, workload.iterations[:3]):
+            slow = so.profile_iteration_scalar(workload, iteration, cfg)
+            assert fast == slow
+            assert profile_iteration(workload, iteration, cfg) == slow
