@@ -34,13 +34,12 @@ floor, the event-driven engine or any array-native section falls below
 its 5x floor, or active tracing costs more than
 :data:`TRACING_OVERHEAD_CEILING` on the span-per-stream replay run.
 
-The replay section names (``push_scatter_binned`` ...) match the
-committed ``BENCH_pr5.json`` baseline, so the two diff cleanly (the
-array-native sections are new in this file and simply don't
-participate)::
+A fresh run diffs cleanly against the committed ``BENCH_pr9.json``
+baseline (every section name is shared)::
 
-    PYTHONPATH=src python -m repro perf diff BENCH_pr5.json \
-        --against BENCH_pr9.json
+    PYTHONPATH=src python benchmarks/perf_smoke.py --out BENCH_new.json
+    PYTHONPATH=src python -m repro perf diff BENCH_pr9.json \
+        --against BENCH_new.json
 
 Run with::
 

@@ -47,10 +47,10 @@ Commands:
     benchmark JSON's flat timing metrics (including latency
     percentiles).
 
-``experiment``/``simulate``/``report`` additionally accept
+``experiment``/``simulate``/``report``/``serve`` additionally accept
 ``--trace PATH`` to record a hierarchical span trace of the run as
-JSONL (see docs/OBSERVABILITY.md), and ``--perf`` for the flat
-per-stage profile on stderr.
+JSONL (see docs/OBSERVABILITY.md) and print its per-name summary
+(the ``perf summary`` table) on stderr.
 """
 
 from __future__ import annotations
@@ -385,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="run one table/figure experiment")
     experiment.add_argument("id")
     experiment.add_argument("--scale", type=int, default=DEFAULT_SCALE)
-    experiment.add_argument("--perf", action="store_true",
-                            help="print per-stage profiling to stderr")
     experiment.add_argument("--trace", default=None, metavar="PATH",
                             help="write a span trace (JSONL) of the run")
 
@@ -397,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--dataset", default="ukl")
     simulate.add_argument("--preprocessing", default="none")
     simulate.add_argument("--scale", type=int, default=DEFAULT_SCALE)
-    simulate.add_argument("--perf", action="store_true",
-                          help="print per-stage profiling to stderr")
     simulate.add_argument("--trace", default=None, metavar="PATH",
                           help="write a span trace (JSONL) of the run")
 
@@ -428,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="vertex-range partitions of the stream "
                              "stage (K>1 enables graph-delta partition "
                              "reuse)")
-    report.add_argument("--perf", action="store_true",
-                        help="print per-stage profiling to stderr")
     report.add_argument("--trace", default=None, metavar="PATH",
                         help="write a span trace (JSONL) covering the "
                              "whole report, including pool workers")
@@ -525,7 +519,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace_path = getattr(args, "trace", None) \
         if args.command != "perf" else None
     if trace_path:
-        from repro.obs import TRACER
+        from repro.obs import TRACER, render_span_summary
         TRACER.start()
     try:
         status = handlers[args.command](args)
@@ -535,9 +529,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             TRACER.stop()
             print(f"trace: {trace_path} ({count} spans)",
                   file=sys.stderr)
-    if getattr(args, "perf", False):
-        from repro.perf import PERF
-        print(PERF.report(), file=sys.stderr)
+            print(render_span_summary(TRACER.header(), TRACER.spans),
+                  file=sys.stderr)
     return status
 
 

@@ -254,10 +254,6 @@ class JobExecutor:
         # executor's progress channel unless the cache already reports.
         if getattr(self.cache, "on_error", None) is None:
             self.cache.on_error = self._progress
-        # Mirror telemetry records into the active trace (one coherent
-        # instrument) unless the caller wired a tracer already.
-        if self.telemetry.tracer is None:
-            self.telemetry.tracer = TRACER
 
     # -- cache bookkeeping ------------------------------------------------
 

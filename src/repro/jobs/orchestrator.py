@@ -84,9 +84,7 @@ class JobRunner(Runner):
         """One telemetry stream shared by every prefetch/run of this
         runner, so a whole report lands in a single JSONL file."""
         if self._telemetry is None:
-            from repro.obs import TRACER
-            self._telemetry = TelemetryWriter(path=self.telemetry_path,
-                                              tracer=TRACER)
+            self._telemetry = TelemetryWriter(path=self.telemetry_path)
         return self._telemetry
 
     def prefetch(self, requests: Iterable[RunRequest]) -> int:

@@ -15,10 +15,9 @@ object distinguished by its ``event`` field:
 
 ``summarize``/``render_summary`` power ``python -m repro jobs``.
 
-When a tracer is attached (``TelemetryWriter.tracer``, wired by the
-executor), every job record is mirrored as a ``jobs.job`` span so a
-traced run carries the telemetry stream inside the trace — one
-instrument, two views.
+While the module tracer (:data:`repro.obs.TRACER`) is active, every
+job record is mirrored as a ``jobs.job`` span so a traced run carries
+the telemetry stream inside the trace — one instrument, two views.
 """
 
 from __future__ import annotations
@@ -29,6 +28,8 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
+
+from repro.obs import TRACER
 
 #: Job statuses, in reporting order.
 STATUSES = ("hit", "miss", "skipped", "failed")
@@ -64,8 +65,6 @@ class TelemetryWriter:
     path: Optional[str]
     run_id: str = ""
     records: List[JobRecord] = field(default_factory=list)
-    #: Optional :class:`repro.obs.Tracer` mirroring records as spans.
-    tracer: Optional[object] = None
     _start: float = field(default_factory=time.time)
     _start_mono: float = field(default_factory=time.monotonic)
 
@@ -93,16 +92,14 @@ class TelemetryWriter:
         payload = {"event": "job", "run_id": self.run_id}
         payload.update(asdict(record))
         self._emit(payload)
-        tracer = self.tracer
-        if tracer is not None and getattr(tracer, "active", False):
-            tracer.manual_span(
-                "jobs.job", duration_s=record.wall_s,
-                job_id=record.job_id, kind=record.kind,
-                status=record.status, app=record.app,
-                dataset=record.dataset,
-                preprocessing=record.preprocessing,
-                scheme=record.scheme, retries=record.retries,
-                worker_pid=record.worker_pid)
+        TRACER.manual_span(
+            "jobs.job", duration_s=record.wall_s,
+            job_id=record.job_id, kind=record.kind,
+            status=record.status, app=record.app,
+            dataset=record.dataset,
+            preprocessing=record.preprocessing,
+            scheme=record.scheme, retries=record.retries,
+            worker_pid=record.worker_pid)
 
     def finish(self) -> Dict[str, object]:
         counts = {status: 0 for status in STATUSES}

@@ -27,6 +27,7 @@ from repro.obs.span import (
 from repro.obs.trace import (
     merge_traces,
     read_trace,
+    render_span_summary,
     render_trace_summary,
     spans_by_parent,
     trace_summary,
@@ -45,6 +46,7 @@ __all__ = [
     "perf_diff",
     "read_trace",
     "render_diff",
+    "render_span_summary",
     "render_trace_summary",
     "spans_by_parent",
     "summarize_spans",

@@ -5,7 +5,7 @@ sides into a flat ``{metric: seconds}`` mapping and flags every shared
 timing metric whose current value exceeds ``threshold x`` the baseline.
 Either side may be:
 
-* a benchmark JSON (``BENCH_pr2.json`` style): every numeric leaf whose
+* a benchmark JSON (``BENCH_pr9.json`` style): every numeric leaf whose
   key ends in ``_s``, equals ``seconds``, or is a latency percentile
   (``p50`` / ``p95`` / ``p99`` / ``p99.9`` ... — the
   ``BENCH_serve.json`` schema) is a timing metric, addressed by its

@@ -8,17 +8,11 @@ the lot.  Durations use the monotonic clock; on Linux
 ``CLOCK_MONOTONIC`` is shared across processes, so spans recorded in
 pool workers line up with the parent's timeline when merged.
 
-Layering with the older instruments:
-
-* :mod:`repro.perf` stage timers are subsumed: every closed span also
-  accumulates into the tracer's attached :class:`~repro.perf.PerfRegistry`
-  (the module-level :data:`~repro.perf.PERF` by default), so ``--perf``
-  output is unchanged whether or not tracing is on.  When the tracer is
-  *inactive* (the default), :meth:`Tracer.span` degrades to exactly the
-  old ``PERF.timer`` path — same cost, no span retention.
-* :mod:`repro.jobs.telemetry` job records are mirrored as ``jobs.job``
-  spans when a tracer is active (see ``TelemetryWriter.tracer``), so a
-  ``--jobs``-parallel report lands in one coherent JSONL trace.
+When the tracer is *inactive* (the default), :meth:`Tracer.span` yields
+a shared null span and times nothing, which is why spans are safe on hot
+paths.  :mod:`repro.jobs.telemetry` job records are mirrored as
+``jobs.job`` spans when the tracer is active, so a ``--jobs``-parallel
+report lands in one coherent JSONL trace.
 
 Cross-process protocol: the executor exports :data:`REPRO_TRACE_DIR`
 before spawning pool workers; :func:`~repro.jobs.executor.execute_group`
@@ -39,8 +33,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
-
-from repro.perf import PERF, PerfRegistry
 
 #: Environment variable naming the directory pool workers append their
 #: span part-files to (one ``worker-<pid>.jsonl`` per worker process).
@@ -101,10 +93,9 @@ _DISCARD = _NullSpan(name="", span_id="", parent_id=None, start_s=0.0,
 
 
 class Tracer:
-    """Span recorder with nesting, perf mirroring, and JSONL export."""
+    """Span recorder with nesting and JSONL export."""
 
-    def __init__(self, perf: Optional[PerfRegistry] = None) -> None:
-        self.perf = perf
+    def __init__(self) -> None:
         self.trace_id: str = ""
         self.spans: List[Span] = []
         self._active = False
@@ -154,18 +145,12 @@ class Tracer:
     @contextmanager
     def span(self, name: str, count: int = 0,
              **attrs: object) -> Iterator[Span]:
-        """Record a ``with`` block as a span (and a perf stage).
+        """Record a ``with`` block as a span.
 
-        Inactive tracers skip span retention entirely and only feed the
-        attached perf registry — the legacy ``PERF.timer`` behaviour,
-        which is why this is safe on hot paths.
+        Inactive tracers yield the shared null span and time nothing.
         """
         if not self.active:
-            if self.perf is not None:
-                with self.perf.timer(name, count=count):
-                    yield _DISCARD
-            else:
-                yield _DISCARD
+            yield _DISCARD
             return
         stack = self._stack_var.get()
         span = Span(name=name, span_id=_new_span_id(),
@@ -181,7 +166,6 @@ class Tracer:
             if count:
                 span.attrs.setdefault("count", count)
             self.spans.append(span)
-            self._mirror(name, span.duration_s, count)
 
     def manual_span(self, name: str, duration_s: float,
                     start_s: Optional[float] = None,
@@ -190,7 +174,6 @@ class Tracer:
         """Record an interval whose timing was measured elsewhere
         (telemetry records, pool dispatch envelopes)."""
         if not self.active:
-            self._mirror(name, duration_s, count)
             return _DISCARD
         if start_s is None:
             start_s = time.monotonic() - duration_s
@@ -202,16 +185,7 @@ class Tracer:
                     start_s=start_s, duration_s=duration_s,
                     pid=os.getpid(), attrs=dict(attrs))
         self.spans.append(span)
-        self._mirror(name, duration_s, count)
         return span
-
-    def _mirror(self, name: str, seconds: float, count: int) -> None:
-        if self.perf is None or not self.perf.enabled:
-            return
-        stat = self.perf.stat(name)
-        stat.calls += 1
-        stat.seconds += seconds
-        stat.count += count
 
     # -- export ------------------------------------------------------------
 
@@ -285,7 +259,7 @@ class Tracer:
 
 
 def summarize_spans(spans: List[Span]) -> Dict[str, Dict[str, float]]:
-    """Aggregate spans by name — the perf-snapshot view of a trace."""
+    """Aggregate spans by name: calls, seconds and count per name."""
     totals: Dict[str, Dict[str, float]] = {}
     for span in spans:
         stat = totals.setdefault(span.name,
@@ -296,6 +270,5 @@ def summarize_spans(spans: List[Span]) -> Dict[str, Dict[str, float]]:
     return dict(sorted(totals.items(), key=lambda kv: -kv[1]["seconds"]))
 
 
-#: Default tracer: mirrors into the module-level perf registry so
-#: ``--perf`` keeps working whether or not ``--trace`` is on.
-TRACER = Tracer(perf=PERF)
+#: Default tracer every instrumented subsystem records into.
+TRACER = Tracer()

@@ -56,17 +56,15 @@ def merge_traces(paths: Iterable[str],
 
 
 def trace_summary(path: str) -> Dict[str, Dict[str, float]]:
-    """Per-span-name aggregates of one trace file (perf-snapshot view)."""
+    """Per-span-name aggregates of one trace file."""
     _header, spans = read_trace(path)
     return summarize_spans(spans)
 
 
-def render_trace_summary(path: str) -> str:
-    """Human-readable per-name table for ``python -m repro perf summary``."""
-    header, spans = read_trace(path)
+def render_span_summary(header: Dict[str, object], spans: List[Span]) -> str:
+    """Human-readable per-name table of a trace, heaviest first."""
     summary = summarize_spans(spans)
-    lines = [f"trace: {path}",
-             f"spans: {len(spans)} across "
+    lines = [f"spans: {len(spans)} across "
              f"{len({s.pid for s in spans})} process(es)"
              + (f", trace_id={header.get('trace_id')}" if header else "")]
     if summary:
@@ -77,6 +75,12 @@ def render_trace_summary(path: str) -> str:
                          f"{int(stat['calls']):8d} "
                          f"{int(stat['count']):11d}")
     return "\n".join(lines)
+
+
+def render_trace_summary(path: str) -> str:
+    """The :func:`render_span_summary` table of one trace file, for
+    ``python -m repro perf summary``."""
+    return f"trace: {path}\n" + render_span_summary(*read_trace(path))
 
 
 def spans_by_parent(spans: List[Span]) -> Dict[Optional[str], List[Span]]:

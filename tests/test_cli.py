@@ -188,14 +188,27 @@ class TestReportOrchestration:
                      str(tmp_path / "empty")]) == 1
 
 
-class TestPerfFlag:
-    def test_perf_prints_stage_breakdown(self, capsys):
+class TestTraceSummary:
+    def test_trace_prints_stage_summary(self, tmp_path, capsys):
         assert main(["simulate", "--app", "dc", "--scheme", "phi",
                      "--dataset", "arb", "--scale", "65536",
-                     "--perf"]) == 0
+                     "--trace", str(tmp_path / "t.jsonl")]) == 0
         err = capsys.readouterr().err
-        assert "perf:" in err
+        assert "seconds    calls" in err
         assert "pricing.price" in err
+
+    def test_parallel_report_summary_has_worker_stages(self, tmp_path,
+                                                       capsys):
+        """Worker-side stages reach the stderr table: it is rendered
+        from the merged trace, not from per-process state."""
+        assert main(["report", "--experiments", "fig15a",
+                     "--scale", "65536", "--no-cache", "--jobs", "2",
+                     "--out", str(tmp_path / "report.md"),
+                     "--trace", str(tmp_path / "t.jsonl")]) == 0
+        rows = {line.split()[0] for line in
+                capsys.readouterr().err.splitlines() if line.strip()}
+        assert {"jobs.profile", "stage.compress.computed",
+                "harness.experiment"} <= rows
 
 
 class TestTrace:
@@ -292,7 +305,7 @@ class TestPerfCommand:
 
     def test_diff_against_trace_jsonl(self, tmp_path, capsys):
         from repro.obs import Tracer
-        t = Tracer(perf=None)
+        t = Tracer()
         t.start()
         with t.span("stage"):
             pass
@@ -304,7 +317,7 @@ class TestPerfCommand:
 
     def test_summary_renders_trace(self, tmp_path, capsys):
         from repro.obs import Tracer
-        t = Tracer(perf=None)
+        t = Tracer()
         t.start(trace_id="t-cli")
         with t.span("stage", count=4):
             pass

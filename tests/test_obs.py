@@ -20,12 +20,11 @@ from repro.obs import (
     summarize_spans,
     trace_summary,
 )
-from repro.perf import PerfRegistry
 
 
 @pytest.fixture
 def tracer():
-    t = Tracer(perf=PerfRegistry())
+    t = Tracer()
     t.start(trace_id="t-test")
     yield t
     t.stop()
@@ -60,24 +59,23 @@ class TestSpanRecording:
         assert span.attrs["count"] == 42
         assert span.duration_s >= 0.0
 
-    def test_perf_mirror_accumulates(self, tracer):
+    def test_summary_accumulates_per_name(self, tracer):
         with tracer.span("stage", count=5):
             pass
         with tracer.span("stage", count=7):
             pass
-        stat = tracer.perf.stat("stage")
-        assert stat.calls == 2
-        assert stat.count == 12
-        assert stat.seconds >= 0.0
+        stat = summarize_spans(tracer.spans)["stage"]
+        assert stat["calls"] == 2
+        assert stat["count"] == 12
+        assert stat["seconds"] >= 0.0
 
-    def test_inactive_tracer_keeps_perf_timer_path(self):
-        t = Tracer(perf=PerfRegistry())
+    def test_inactive_tracer_records_nothing(self):
+        t = Tracer()
         assert not t.active
         with t.span("stage", count=3) as span:
             span.set(ignored=True)  # the shared null span swallows it
+        assert t.manual_span("measured", duration_s=1.0) is span
         assert t.spans == []
-        stat = t.perf.stat("stage")
-        assert stat.calls == 1 and stat.count == 3
 
     def test_forked_child_sees_inactive(self, tracer):
         # Fork-safety is keyed on the owning pid; fake a child process.
@@ -127,7 +125,7 @@ class TestExportAndMerge:
         assert names == ["a", "b"]
 
     def test_adopt_parts_reparents_by_job_id(self, tracer, tmp_path):
-        worker = Tracer(perf=None)
+        worker = Tracer()
         worker.start()
         with worker.span("jobs.group", job_id="job-1"):
             with worker.span("jobs.price"):
@@ -151,7 +149,7 @@ class TestExportAndMerge:
 
     def test_adopt_parts_fallback_and_missing_dir(self, tracer,
                                                   tmp_path):
-        worker = Tracer(perf=None)
+        worker = Tracer()
         worker.start()
         with worker.span("jobs.group", job_id="unknown"):
             pass
@@ -169,7 +167,7 @@ class TestExportAndMerge:
             pass
         first = str(tmp_path / "one.jsonl")
         tracer.save(first)
-        other = Tracer(perf=None)
+        other = Tracer()
         other.start(trace_id="t2")
         with other.span("b"):
             pass
@@ -200,9 +198,7 @@ class TestExportAndMerge:
 
 
 class TestGlobalTracer:
-    def test_module_tracer_mirrors_into_perf_when_inactive(self):
-        from repro.perf import PERF
-        assert TRACER.perf is PERF
+    def test_module_tracer_starts_inactive(self):
         assert not TRACER.active
         assert REPRO_TRACE_DIR == "REPRO_TRACE_DIR"
 
@@ -249,7 +245,7 @@ class TestDiff:
                            "nested/deep/scalar_s": 1.0}
 
     def test_load_timings_trace_jsonl(self, tmp_path):
-        t = Tracer(perf=None)
+        t = Tracer()
         t.start()
         with t.span("stage"):
             pass
