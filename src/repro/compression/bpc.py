@@ -245,8 +245,9 @@ def bpc_chunk_encoded_sizes(values: np.ndarray,
     """Exact encoded size of each BPC chunk, computed with vectorized numpy.
 
     Semantically identical to chunking ``values`` and measuring
-    ``BpcCodec().encode`` per chunk, but runs in O(width) numpy passes per
-    chunk batch instead of per-bit python loops.  Used by the traffic model.
+    ``BpcCodec().encode`` per chunk, but runs in O(log chunk) numpy passes
+    per chunk batch instead of per-bit python loops.  Used by the traffic
+    model.
     """
     bits = as_unsigned_bits(values)
     width = 8 * bits.dtype.itemsize
@@ -273,60 +274,80 @@ def bpc_chunk_encoded_sizes(values: np.ndarray,
 
 
 def _batch_chunk_sizes(table: np.ndarray, width: int, item: int) -> np.ndarray:
-    """Vectorized symbol-coded sizes for a (nchunks, chunk) uint64 table."""
-    nchunks, chunk = table.shape
-    plane_width = chunk - 1
-    modulus_bits = width + 1
-    # Wrapped (width+1)-bit deltas.
-    deltas = (table[:, 1:] - table[:, :-1]) & np.uint64((1 << modulus_bits) - 1
-                                                        if modulus_bits < 64
-                                                        else 0xFFFFFFFFFFFFFFFF)
-    if modulus_bits > 64:
-        # 65-bit deltas: track the carry plane separately.
-        borrow = (table[:, 1:] < table[:, :-1]).astype(np.uint64)
-        deltas = (table[:, 1:] - table[:, :-1]).astype(np.uint64)
+    """Exact :meth:`BpcCodec._encode_chunk` sizes for a (nchunks, chunk) table.
+
+    Never builds plane words.  DBX plane ``k`` of a chunk is bit ``k`` of
+    ``x_d = delta_d ^ (delta_d >> 1)`` across its deltas ``d``, where
+    ``delta_d`` is the wrapped ``width + 1``-bit delta.  For 64-bit
+    elements, bit 64 of ``(b - a) mod 2^65`` is set exactly when
+    ``b < a`` (the borrow of the 64-bit subtraction); that plane rides in
+    a second mask word.  A plane's symbol follows from how many deltas
+    set its bit, so bit-sliced column counts classify every plane of
+    every chunk at once:
+
+    * zero: set by no delta;
+    * all-ones: set in the AND of every ``x_d``;
+    * single bit: set exactly once;
+    * two adjacent bits: set exactly twice, and in the OR of
+      ``x_d & x_{d+1}``;
+    * raw: anything else.
+
+    Popcounts of those per-plane masks give the symbol bytes; zero runs
+    are counted at their lowest plane (a zero plane whose next-lower
+    plane is not zero), and with at most 65 planes no run reaches the
+    255-plane limit of its length byte.  ``tests/test_compression_codecs.py`` checks
+    this against the scalar encoder chunk by chunk.
+    """
+    chunk = table.shape[1]
+    raw_bytes = (chunk - 1 + 7) // 8  # one plane holds chunk - 1 bits
+    diff = table[:, 1:] - table[:, :-1]
+    if width < 64:
+        delta = diff & np.uint64((1 << (width + 1)) - 1)
+        x = (delta ^ (delta >> np.uint64(1)))[:, :, None]
+        valid = np.array([(1 << (width + 1)) - 1], dtype=np.uint64)
     else:
-        borrow = None
-    nplanes = modulus_bits
-    # Pack plane words: plane[c, k] has bit d = bit k of delta d of chunk c.
-    planes = np.zeros((nchunks, nplanes), dtype=np.uint64)
-    for k in range(min(nplanes, 64)):
-        bit = (deltas >> np.uint64(k)) & np.uint64(1)
-        planes[:, k] = (bit << np.arange(plane_width, dtype=np.uint64)).sum(
-            axis=1, dtype=np.uint64)
-    if borrow is not None:
-        # For 64-bit elements, delta bit 64 is 1 iff the subtraction
-        # *didn't* borrow into negative... the true 65-bit delta of
-        # a mod-2^65 wrap equals (b - a) mod 2^65; bit 64 is set when
-        # b < a (wrap adds 2^65 - borrow of 2^64 -> bit 64 = borrow).
-        planes[:, 64] = (borrow << np.arange(plane_width, dtype=np.uint64)
-                         ).sum(axis=1, dtype=np.uint64)
-    # DBX.
-    dbx = planes.copy()
-    dbx[:, :-1] ^= planes[:, 1:]
-    dbx = dbx[:, ::-1]  # MSB first
-    # Per-plane symbol sizes.
-    all_ones = np.uint64((1 << plane_width) - 1)
-    raw_bytes = (plane_width + 7) // 8
-    is_zero = dbx == 0
-    is_ones = dbx == all_ones
-    is_single = (dbx & (dbx - np.uint64(1))) == 0
-    low = dbx & (np.uint64(0) - dbx)
-    is_two = dbx == (low | (low << np.uint64(1)))
-    plane_cost = np.full(dbx.shape, 1 + raw_bytes, dtype=np.int64)
-    plane_cost[is_two] = 2
-    plane_cost[is_single & ~is_zero] = 2
-    plane_cost[is_ones] = 1
-    plane_cost[is_zero] = 0  # accounted as runs below
-    body = plane_cost.sum(axis=1)
-    # Zero runs: 2 bytes per maximal run (runs never exceed 255 here).
-    run_starts = is_zero & ~np.pad(is_zero, ((0, 0), (1, 0)),
-                                   constant_values=False)[:, :-1]
-    body += 2 * run_starts.sum(axis=1)
-    compressed = 1 + item + body
-    raw_total = 1 + chunk * item
-    return np.minimum(compressed, raw_total).astype(np.int64)
+        borrow = (table[:, 1:] < table[:, :-1]).astype(np.uint64)
+        low = diff ^ (diff >> np.uint64(1)) ^ (borrow << np.uint64(63))
+        x = np.stack([low, borrow], axis=2)
+        valid = np.array([0xFFFFFFFFFFFFFFFF, 1], dtype=np.uint64)
+    # x: (nchunks, deltas, words); every mask below is (nchunks, words).
+    ones = np.bitwise_and.reduce(x, axis=1)
+    pair = np.bitwise_or.reduce(x[:, 1:] & x[:, :-1], axis=1)
+    c1, c2, c3 = _column_counts(x)
+    single = c1 & ~c2 & ~ones
+    two = c2 & ~c3 & pair & ~ones
+    raw = c1 & ~(ones | single | two)
+    zero = ~c1 & valid
+    below = zero << np.uint64(1)
+    below[:, 1:] |= zero[:, :-1] >> np.uint64(63)
+    runs = zero & ~below
+
+    def count(mask: np.ndarray) -> np.ndarray:
+        return np.bitwise_count(mask).sum(axis=1, dtype=np.int64)
+
+    body = count(ones) + 2 * count(single | two) \
+        + (1 + raw_bytes) * count(raw) + 2 * count(runs)
+    return np.minimum(1 + item + body, 1 + chunk * item)
 
 
-# NOTE: _batch_chunk_sizes must match BpcCodec._encode_chunk exactly; the
-# property test suite cross-checks them on random data.
+def _column_counts(x: np.ndarray) -> tuple:
+    """Per-bit "set in >= 1, >= 2, >= 3 rows of axis 1" masks of ``x``.
+
+    A saturating bit-sliced counter, reduced pairwise over axis 1 so it
+    takes log2(columns) passes.  Zero padding to a power of two leaves
+    every count unchanged.
+    """
+    ncols = x.shape[1]
+    padded = 1 << max(0, ncols - 1).bit_length()
+    if padded != ncols:
+        pad = np.zeros((x.shape[0], padded - ncols, x.shape[2]),
+                       dtype=x.dtype)
+        x = np.concatenate([x, pad], axis=1)
+    c1, c2, c3 = x, np.zeros_like(x), np.zeros_like(x)
+    while c1.shape[1] > 1:
+        a1, b1 = c1[:, 0::2], c1[:, 1::2]
+        a2, b2 = c2[:, 0::2], c2[:, 1::2]
+        c3 = c3[:, 0::2] | c3[:, 1::2] | (a2 & b1) | (a1 & b2)
+        c2 = a2 | b2 | (a1 & b1)
+        c1 = a1 | b1
+    return c1[:, 0], c2[:, 0], c3[:, 0]

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,27 +55,52 @@ _DIRECT_MAX_QUERIES = 1024
 _DIRECT_MAX_WORK_FACTOR = 16
 
 
+def lex_order(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.lexsort(keys)`` — stable, last key primary — as one int64 sort.
+
+    Each integer or bool key is offset by its minimum and packed into
+    its own bit field above a position field, primary key highest; the
+    position makes every composite distinct, so one unstable sort of the
+    composites gives the stable order, read back from the low bits.
+    Falls back to ``np.lexsort`` when the fields need more than 63 bits.
+    """
+    n = keys[0].size
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    pos_bits = int(n - 1).bit_length()
+    fields = []
+    total = pos_bits
+    for key in keys:
+        lo, hi = int(key.min()), int(key.max())
+        if hi >= 1 << 63:  # uint64 beyond int64: no packed form
+            return np.lexsort(keys)
+        bits = (hi - lo).bit_length()
+        total += bits
+        fields.append((key, lo, bits))
+    if total > 63:
+        return np.lexsort(keys)
+    packed = np.arange(n, dtype=np.int64)
+    shift = pos_bits
+    for key, lo, bits in fields:
+        if bits:
+            packed |= (key.astype(np.int64) - lo) << shift
+        shift += bits
+    packed.sort()
+    return packed & ((1 << pos_bits) - 1)
+
+
 def previous_occurrence(lines: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """``prev[i]`` = index of the prior access to ``lines[i]`` (else -1).
 
     Also returns the stable (line, position) sort order, which callers
-    reuse for grouped reductions.  When line ids fit, (line, position)
-    pairs are packed into one int64 so a single unstable sort replaces
-    the much slower stable ``argsort``.
+    reuse for grouped reductions.
     """
     n = lines.size
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    shift = max(1, int(n - 1).bit_length())
-    if int(lines.min()) >= 0 and int(lines.max()) < (1 << (62 - shift)):
-        composite = (lines << shift) | np.arange(n, dtype=np.int64)
-        composite.sort()
-        order = composite & ((1 << shift) - 1)
-        sorted_lines = composite >> shift
-    else:
-        order = np.argsort(lines, kind="stable")
-        sorted_lines = lines[order]
+    order = lex_order((lines,))
+    sorted_lines = lines[order]
     prev_sorted = np.empty(n, dtype=np.int64)
     prev_sorted[0] = -1
     same = sorted_lines[1:] == sorted_lines[:-1]

@@ -31,9 +31,9 @@ from repro.graph.idspace import expand_ids
 from repro.memory.address import LINE_BYTES
 from repro.memory.batch import (
     _collapse_runs,
+    lex_order,
     lru_hit_mask,
     lru_scatter_misses,
-    previous_occurrence,
 )
 from repro.obs import TRACER
 from repro.runtime.traffic_array import CHUNK
@@ -165,39 +165,81 @@ def chunked_ids_values_compressed(ids: np.ndarray, values: np.ndarray,
     the payload values under the best of delta and BPC, permuted along
     with their ids.  This is what the Fig 14 pipeline produces.
     """
+    return chunked_ids_values_sizes(ids, values, id_scale, (sort,),
+                                    chunk)[0]
+
+
+def chunked_ids_values_sizes(ids: np.ndarray, values: np.ndarray,
+                             id_scale: int, sorts: Tuple[bool, ...],
+                             chunk: int = CHUNK) -> Tuple[int, ...]:
+    """:func:`chunked_ids_values_compressed` once per entry of ``sorts``.
+
+    The id expansion and chunk tables are built once and shared; a
+    sorted variant is a per-chunk sort of the same tables.
+    """
     n = ids.size
     if n == 0:
-        return 0
-    with TRACER.span("profile.compress", count=int(n)):
-        return _chunked_ids_values_compressed(ids, values, id_scale,
-                                              sort, chunk)
+        return (0,) * len(sorts)
+    with TRACER.span("profile.compress", count=int(n) * len(sorts)):
+        table, vtable = _update_tables(ids, values, id_scale, chunk)
+        pad = table.size - n
+        sizes = []
+        for sort in sorts:
+            total = _tables_compressed(
+                *(_sort_rows(table, vtable) if sort else (table, vtable)))
+            # Remove the padding's contribution proportionally.
+            sizes.append(int(total * (n / (n + pad))) if pad else total)
+        return tuple(sizes)
 
 
-def _chunked_ids_values_compressed(ids: np.ndarray, values: np.ndarray,
-                                   id_scale: int, sort: bool,
-                                   chunk: int) -> int:
-    n = ids.size
-    pad = (-n) % chunk
+def _update_tables(ids: np.ndarray, values: np.ndarray, id_scale: int,
+                   chunk: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """(expanded id table, payload-bit table or None), ``chunk`` wide.
+
+    The last chunk is padded by repeating the final update.
+    """
+    pad = (-ids.size) % chunk
     ids64 = expand_ids(ids, id_scale)
     if pad:
         ids64 = np.concatenate([ids64, np.full(pad, ids64[-1],
                                                dtype=np.uint64)])
-    table = ids64.reshape(-1, chunk)
-    if values.size:
-        vals = np.ascontiguousarray(values)
-        vbits = vals.view(np.dtype(f"u{vals.dtype.itemsize}"))
-        if pad:
-            vbits = np.concatenate([vbits,
-                                    np.full(pad, vbits[-1],
-                                            dtype=vbits.dtype)])
-        vtable = vbits.reshape(-1, chunk)
+    if not values.size:
+        return ids64.reshape(-1, chunk), None
+    vals = np.ascontiguousarray(values)
+    vbits = vals.view(np.dtype(f"u{vals.dtype.itemsize}"))
+    if pad:
+        vbits = np.concatenate([vbits,
+                                np.full(pad, vbits[-1], dtype=vbits.dtype)])
+    return ids64.reshape(-1, chunk), vbits.reshape(-1, chunk)
+
+
+def _sort_rows(table: np.ndarray, vtable: Optional[np.ndarray]
+               ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Stable per-chunk sort of the ids, payloads permuted alongside.
+
+    Packs ``id << col_bits | col`` so one plain row sort orders ids with
+    ties in column order, and the column is read back as the permutation.
+    """
+    chunk = table.shape[1]
+    col_bits = (chunk - 1).bit_length()
+    if int(table.max()) < 1 << (64 - col_bits):
+        packed = (table << np.uint64(col_bits)) \
+            | np.arange(chunk, dtype=np.uint64)
+        packed.sort(axis=1)
+        order = (packed & np.uint64((1 << col_bits) - 1)).astype(np.intp)
+        table = packed >> np.uint64(col_bits)
     else:
-        vtable = None
-    if sort:
         order = np.argsort(table, axis=1, kind="stable")
         table = np.take_along_axis(table, order, axis=1)
-        if vtable is not None:
-            vtable = np.take_along_axis(vtable, order, axis=1)
+    if vtable is not None:
+        vtable = np.take_along_axis(vtable, order, axis=1)
+    return table, vtable
+
+
+def _tables_compressed(table: np.ndarray,
+                       vtable: Optional[np.ndarray]) -> int:
+    """Summed chunk sizes: delta-coded ids plus best-of payloads."""
+    chunk = table.shape[1]
     # ids: delta byte codes per chunk, raw fallback.
     flat = table.reshape(-1)
     group_starts = np.arange(0, flat.size, chunk, dtype=np.int64)
@@ -212,9 +254,6 @@ def _chunked_ids_values_compressed(ids: np.ndarray, values: np.ndarray,
             _delta_sizes_grouped(vflat.astype(np.uint64), group_starts),
             chunk * vflat.dtype.itemsize + 1).sum())
         total += min(bpc, delta)
-    # Remove the padding's contribution proportionally.
-    if pad:
-        total = int(total * (n / (n + pad)))
     return total
 
 
@@ -270,11 +309,13 @@ def phi_coalesce_replay(dsts: np.ndarray, values: np.ndarray,
       is exactly the miss count;
     * LRU always evicts the resident line with the oldest last access,
       so evicted segments spill in increasing last-access order, and
-      the final flush walks survivors in the same order — the full
-      spill order is ``(evicted-before-survivors, last access)``;
+      every one of them was last accessed before any survivor (an
+      older survivor would have been evicted first); the final flush
+      walks survivors oldest first, so the whole spill order is
+      last-access order;
     * within a segment the scalar dict holds each destination once, in
       first-touch order, with its last-written value — a grouped
-      ``lexsort`` dedup.
+      (segment, dst) dedup.
     """
     per_line = max(1, LINE_BYTES // max(4, dst_value_bytes + 4))
     has_values = values.size == dsts.size
@@ -288,45 +329,21 @@ def phi_coalesce_replay(dsts: np.ndarray, values: np.ndarray,
         return (np.array([], dtype=np.uint32),
                 np.array([], dtype=np.uint64), 0)
 
-    rep, collapsed_index = _collapse_runs(lines)
-    c_lines = lines[rep]
-    prev, _corder = previous_occurrence(c_lines)
-    c_hits = lru_hit_mask(c_lines, capacity_lines, prev=prev)
+    rep, _ = _collapse_runs(lines)
     hits_full = np.ones(n, dtype=bool)
-    hits_full[rep] = c_hits
+    hits_full[rep] = lru_hit_mask(lines[rep], capacity_lines)
 
     # Segments, in (line, position) grouped order.
-    order = np.argsort(lines, kind="stable")
+    order = lex_order((lines,))
     miss_sorted = ~hits_full[order]
     seg_of_sorted = np.cumsum(miss_sorted) - 1
     seg_starts = np.flatnonzero(miss_sorted)
     num_segments = seg_starts.size
-    seg_end = np.concatenate([seg_starts[1:], [n]]) - 1
-    sorted_lines = lines[order]
-    group_last = np.empty(n, dtype=bool)
-    group_last[-1] = True
-    np.not_equal(sorted_lines[1:], sorted_lines[:-1],
-                 out=group_last[:-1])
-    seg_is_final = group_last[seg_end]
-
-    # Survival of each line's final segment (collapsed positions).
-    t_last_full = order[seg_end]
-    t_last = collapsed_index[t_last_full]
-    survive = np.zeros(num_segments, dtype=bool)
-    prev_sorted_vals = np.sort(prev)
-    d_end = (np.searchsorted(prev_sorted_vals, t_last[seg_is_final],
-                             side="right")
-             - (t_last[seg_is_final] + 1))
-    survive[seg_is_final] = d_end <= capacity_lines - 1
-
-    # Spill rank: evicted segments by last access, then survivors.
-    spill_order = np.lexsort((t_last, survive))
-    seg_rank = np.empty(num_segments, dtype=np.int64)
-    seg_rank[spill_order] = np.arange(num_segments)
+    seg_last = order[np.concatenate([seg_starts[1:], [n]]) - 1]
 
     # Dedup (segment, dst): first-touch order, last-written value.
     dst_sorted = dsts[order].astype(np.int64)
-    order2 = np.lexsort((dst_sorted, seg_of_sorted))
+    order2 = lex_order((dst_sorted, seg_of_sorted))
     seg2 = seg_of_sorted[order2]
     dst2 = dst_sorted[order2]
     new_pair = np.empty(n, dtype=bool)
@@ -335,8 +352,8 @@ def phi_coalesce_replay(dsts: np.ndarray, values: np.ndarray,
     pair_first = np.flatnonzero(new_pair)
     pair_last = np.concatenate([pair_first[1:], [n]]) - 1
     pair_first_pos = order[order2[pair_first]]
-    out_order = np.lexsort((pair_first_pos,
-                            seg_rank[seg2[pair_first]]))
+    # Spill order: segments by last access, each in first-touch order.
+    out_order = lex_order((pair_first_pos, seg_last[seg2[pair_first]]))
     spilled_ids = dst2[pair_first][out_order].astype(np.uint32)
     spilled_vals = vbits[order[order2[pair_last]]][out_order]
     return spilled_ids, spilled_vals, int(num_segments)

@@ -20,6 +20,7 @@ from repro.obs import TRACER
 from repro.runtime.traffic import (
     array_compressed_bytes,
     chunked_ids_values_compressed,
+    chunked_ids_values_sizes,
     rows_compressed_bytes_from,
 )
 from repro.runtime.traffic_array import ceil_lines
@@ -79,16 +80,11 @@ def compress_streams(stream: StreamArtifact, replay: ReplayArtifact,
         else:
             frontier_bytes_compressed = 0
 
-        update_unsorted = ceil_lines(chunked_ids_values_compressed(
-            rp.sorted_ids, rp.sorted_vals, id_scale, sort=False))
-        if sort_updates:
-            update_compressed = min(
-                ceil_lines(chunked_ids_values_compressed(
-                    rp.sorted_ids, rp.sorted_vals, id_scale,
-                    sort=True)),
-                update_unsorted)
-        else:
-            update_compressed = update_unsorted
+        update_sizes = chunked_ids_values_sizes(
+            rp.sorted_ids, rp.sorted_vals, id_scale,
+            (False, True) if sort_updates else (False,))
+        update_unsorted = ceil_lines(update_sizes[0])
+        update_compressed = min(ceil_lines(size) for size in update_sizes)
 
         ub_dest_bytes_compressed = int(
             rp.ub_dest_bytes * min(1.0, dst_comp / dst_total_raw))

@@ -14,9 +14,36 @@ from hypothesis import strategies as st
 
 from repro.config import CacheConfig, SystemConfig
 from repro.memory import FastLruCache, MemoryHierarchy, SetAssocCache
-from repro.memory.batch import lru_hit_mask, replay_lru
+from repro.memory.address import LINE_BYTES
+from repro.memory.batch import lex_order, lru_hit_mask, replay_lru
 from repro.runtime.traffic import lru_scatter_replay, phi_coalesce_replay
 from tests.oracles.scalar import lru_scatter_oracle, phi_coalesce_oracle
+
+
+def widen_dsts(dsts, per_line, line_ids):
+    """Relabel each line of ``dsts`` to ``line_ids[line]``, keeping the
+    within-line offset: LRU and coalescing see the same stream."""
+    return line_ids[dsts // per_line] * per_line + dsts % per_line
+
+
+def assert_phi_matches(dsts, values, dvb, capacity, line_ids=None):
+    """Kernel vs oracle; with ``line_ids`` the kernel gets the widened
+    stream and the oracle's ids are widened (and stored as 32 bits,
+    wrapping like the kernel's) before comparing."""
+    ids_a, vals_a, lines_a = phi_coalesce_oracle(dsts, values, dvb,
+                                                 capacity)
+    if line_ids is not None:
+        per_line = max(1, LINE_BYTES // max(4, dvb + 4))
+        dsts = widen_dsts(dsts, per_line, line_ids)
+        ids_a = widen_dsts(ids_a.astype(np.int64), per_line,
+                           line_ids).astype(np.uint32)
+    ids_b, vals_b, lines_b = phi_coalesce_replay(dsts, values, dvb,
+                                                 capacity)
+    assert np.array_equal(ids_a, ids_b)
+    assert np.array_equal(vals_a, vals_b)
+    assert ids_a.dtype == ids_b.dtype
+    assert vals_a.dtype == vals_b.dtype
+    assert lines_a == lines_b
 
 
 def scalar_reference(cache, lines, writes):
@@ -126,15 +153,49 @@ class TestReplayKernels:
         dsts = np.array(dsts, dtype=np.int64)
         values = (np.arange(dsts.size, dtype=np.uint32) * 7 + 3
                   if with_values else np.empty(0))
-        ids_a, vals_a, lines_a = phi_coalesce_oracle(dsts, values, dvb,
-                                               capacity)
-        ids_b, vals_b, lines_b = phi_coalesce_replay(dsts, values, dvb,
-                                                     capacity)
-        assert np.array_equal(ids_a, ids_b)
-        assert np.array_equal(vals_a, vals_b)
-        assert ids_a.dtype == ids_b.dtype
-        assert vals_a.dtype == vals_b.dtype
-        assert lines_a == lines_b
+        assert_phi_matches(dsts, values, dvb, capacity)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 60), max_size=300),
+           st.integers(1, 16), st.sampled_from([4, 8]),
+           st.integers(0, 2 ** 32))
+    def test_phi_coalesce_replay_wide_ids(self, dsts, capacity, dvb,
+                                          seed):
+        """dst ids up to 2^40: the same stream on relabelled lines."""
+        dsts = np.array(dsts, dtype=np.int64)
+        values = np.arange(dsts.size, dtype=np.uint32) * 7 + 3
+        rng = np.random.default_rng(seed)
+        # Distinct by construction: the low bits are the line itself.
+        line_ids = rng.integers(0, 2 ** 31, 64) * 64 + np.arange(64)
+        assert_phi_matches(dsts, values, dvb, capacity, line_ids)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_phi_coalesce_replay_long_stream(self, wide, monkeypatch):
+        """5,000 accesses over more lines than the cache holds: many
+        long-range reuses (the sequential LRU walk decides them) and
+        lines that spill more than once.  With ids up to 2^40 the
+        (segment, dst) order no longer packs into 63 bits, so the
+        ``np.lexsort`` fallback runs."""
+        rng = np.random.default_rng(11)
+        dsts = np.concatenate([
+            rng.integers(0, 4000, 3000),
+            np.repeat(rng.integers(0, 600, 400), 5),
+        ]).astype(np.int64)
+        values = rng.integers(0, 2 ** 32, dsts.size).astype(np.uint32)
+        lexsorts = []
+        real_lexsort = np.lexsort
+
+        def counting_lexsort(keys):
+            lexsorts.append(len(keys))
+            return real_lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        line_ids = None
+        if wide:
+            line_ids = (rng.integers(0, 2 ** 27, 1024) * 1024
+                        + np.arange(1024))
+        assert_phi_matches(dsts, values, 4, 64, line_ids)
+        assert bool(lexsorts) == wide
 
     def test_scatter_replay_realistic_stream(self):
         """A graph-shaped stream (sorted runs + hub skew) — the shape
@@ -158,6 +219,30 @@ class TestReplayKernels:
         # capacity 4: both reuses hit.
         assert lru_hit_mask(lines, 4).tolist() == \
             [False, False, False, True, False, True]
+
+
+class TestLexOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 5),
+                              st.booleans()), max_size=200))
+    def test_matches_lexsort_with_ties(self, rows):
+        arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        keys = (arr[:, 0], arr[:, 1], arr[:, 2].astype(bool))
+        assert np.array_equal(lex_order(keys), np.lexsort(keys))
+
+    def test_wide_keys_fall_back_exactly(self):
+        rng = np.random.default_rng(3)
+        wide = rng.integers(0, 2 ** 62, 500)
+        ties = rng.integers(0, 4, 500)
+        keys = (wide % 7, ties, wide)
+        assert np.array_equal(lex_order(keys), np.lexsort(keys))
+        top = np.array([2 ** 64 - 1, 2 ** 63, 5, 2 ** 63], dtype=np.uint64)
+        assert np.array_equal(lex_order((top,)), np.lexsort((top,)))
+
+    def test_empty_and_constant(self):
+        assert lex_order((np.empty(0, dtype=np.int64),)).size == 0
+        same = np.full(7, 9, dtype=np.int64)
+        assert lex_order((same, same)).tolist() == list(range(7))
 
 
 class TestReplayLruState:

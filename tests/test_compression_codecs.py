@@ -22,10 +22,53 @@ from repro.compression import (
     bpc_chunk_encoded_sizes,
     from_unsigned_bits,
 )
+from repro.compression.bpc import _batch_chunk_sizes
+from repro.compression.sizes import bpc_group_sizes
 
 uint64_arrays = st.lists(
     st.integers(0, 2 ** 64 - 1), min_size=0, max_size=100
 ).map(lambda xs: np.asarray(xs, dtype=np.uint64))
+
+
+@st.composite
+def bpc_rows(draw, width, chunk):
+    """One chunk whose DBX planes hit every BPC symbol class.
+
+    ``stepped`` rows repeat one step except at one or two adjacent
+    positions: a constant non-zero step gives all-ones planes, the odd
+    steps give single-bit and two-adjacent-bit planes, and a negative
+    (wrapped) step sets the borrow bit of every delta.
+    """
+    mask = (1 << width) - 1
+    kind = draw(st.sampled_from(["random", "constant", "stepped"]))
+    if kind == "random":
+        return draw(st.lists(st.integers(0, mask), min_size=chunk,
+                             max_size=chunk))
+    row = [draw(st.integers(0, mask))]
+    if kind == "constant":
+        return row * chunk
+    power_step = st.builds(lambda k, neg: (-(1 << k) if neg else 1 << k)
+                           & mask,
+                           st.integers(0, width - 1), st.booleans())
+    step_values = st.one_of(st.sampled_from([0, 1, mask]), power_step,
+                            st.integers(0, mask))
+    steps = [draw(step_values)] * (chunk - 1)
+    first = draw(st.integers(0, chunk - 2))
+    for pos in range(first, first + draw(st.integers(0, 2))):
+        if pos < chunk - 1:
+            steps[pos] = draw(step_values)
+    for step in steps:
+        row.append((row[-1] + step) & mask)
+    return row
+
+
+@st.composite
+def bpc_tables(draw):
+    """(width, chunk, rows) for the batched BPC sizer."""
+    width = draw(st.sampled_from([8, 16, 32, 64]))
+    chunk = draw(st.integers(2, 65))
+    rows = draw(st.lists(bpc_rows(width, chunk), min_size=1, max_size=4))
+    return width, chunk, rows
 
 
 class TestBitViewHelpers:
@@ -73,6 +116,30 @@ class TestBpcCodec:
             x = (base + np.cumsum(rng.integers(0, 50, 257))).astype(np.uint32)
             sizes = bpc_chunk_encoded_sizes(x)
             assert sizes.sum() == len(BpcCodec().encode(x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(bpc_tables())
+    def test_batch_sizes_match_encoder_per_chunk(self, drawn):
+        width, chunk, rows = drawn
+        item = width // 8
+        table = np.array(rows, dtype=np.uint64)
+        codec = BpcCodec(chunk)
+        expected = [len(codec._encode_chunk(
+            np.array(row, dtype=f"u{item}"), width)) for row in rows]
+        assert _batch_chunk_sizes(table, width, item).tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(bpc_tables(), st.lists(st.integers(1, 300), max_size=3))
+    def test_group_sizes_match_encoder(self, drawn, cuts):
+        width, chunk, rows = drawn
+        bits = np.array([v for row in rows for v in row],
+                        dtype=f"u{width // 8}")
+        bounds = sorted({0, bits.size, *(c % bits.size for c in cuts)})
+        codec = BpcCodec(chunk)
+        expected = [len(codec.encode(bits[a:b]))
+                    for a, b in zip(bounds[:-1], bounds[1:])]
+        starts = np.array(bounds[:-1], dtype=np.int64)
+        assert bpc_group_sizes(bits, starts, chunk).tolist() == expected
 
     def test_vectorized_sizes_match_on_random(self):
         rng = np.random.default_rng(6)

@@ -24,6 +24,7 @@ from repro.runtime import traffic_array as ta
 from repro.runtime.traffic import (
     array_compressed_bytes,
     chunked_ids_values_compressed,
+    chunked_ids_values_sizes,
     rows_compressed_bytes_from,
 )
 from repro.runtime.workload import Iteration, Workload
@@ -147,7 +148,8 @@ class TestCompressedSizeOracles:
         assert rows_compressed_bytes_from(ids, degrees, id_scale) == \
             so.rows_compressed_bytes_scalar(ids, degrees, id_scale)
 
-    @pytest.mark.parametrize("id_scale", [1, 4096])
+    # 2**50 pushes virtual ids past the packed (id, column) row-sort key.
+    @pytest.mark.parametrize("id_scale", [1, 4096, 2 ** 50])
     @pytest.mark.parametrize("sort", [False, True])
     @pytest.mark.parametrize("n", [1, 5, 31, 32, 33, 257])
     def test_chunked_ids_values(self, id_scale, sort, n):
@@ -161,6 +163,14 @@ class TestCompressedSizeOracles:
                 ids, vals, id_scale, sort) == \
                 so.chunked_ids_values_compressed_scalar(
                     ids, vals, id_scale, sort)
+
+    def test_chunked_ids_values_sizes_per_variant(self):
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 3000, 100, dtype=np.uint64).astype(np.uint32)
+        vals = rng.standard_normal(100)
+        assert chunked_ids_values_sizes(ids, vals, 4096, (False, True)) == \
+            tuple(so.chunked_ids_values_compressed_scalar(
+                ids, vals, 4096, sort) for sort in (False, True))
 
     def test_array_compressed(self):
         rng = np.random.default_rng(11)
