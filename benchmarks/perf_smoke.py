@@ -14,10 +14,11 @@ line) in two regimes:
   walk, so the expectation is parity (~1x), not a win.
 
 A fourth section times the SpZip engine itself: the same compressed-CSR
-traversal driven through the per-cycle reference loop and the
-event-driven core (skip-ahead + bursts) on an MLP-limited configuration
-(single-outstanding-line access unit, 300-cycle memory), with the two
-modes asserted cycle-identical before either is timed.
+traversal driven through the per-cycle reference loop
+(``tests/oracles/engine.py``) and the event-driven core (skip-ahead +
+bursts) on an MLP-limited configuration (single-outstanding-line access
+unit, 300-cycle memory), with the two asserted cycle-identical before
+either is timed.
 
 Three further sections time the array-native profiling front end
 against its scalar oracles (``tests/oracles/scalar.py``): the
@@ -62,8 +63,6 @@ from repro.config import SpZipConfig
 from repro.dcl import pack_range
 from repro.engine import (
     INPUT_QUEUE,
-    MODE_CYCLE,
-    MODE_EVENT,
     ROWS_QUEUE,
     DriveRequest,
     Fetcher,
@@ -75,8 +74,9 @@ from repro.memory import AddressSpace, FastLruCache
 from repro.obs import TRACER, summarize_spans
 from repro.runtime.traffic import lru_scatter_replay, phi_coalesce_replay
 
-# The scalar oracles live with the tests that hold the kernels to them.
+# The oracles live with the tests that hold the kernels to them.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles import engine as engine_oracle  # noqa: E402
 from tests.oracles import scalar as so  # noqa: E402
 
 #: Minimum acceptable speedup for the binned Push destination-scatter
@@ -251,9 +251,9 @@ def bench_engine_drive(walk=1000, mem_latency=300):
 
     The workload is deliberately MLP-limited — a single-outstanding-line
     access unit against 300-cycle memory — so nearly every simulated
-    cycle is an idle wait the event core can skip.  Both modes are
-    asserted cycle-identical (cycles, outputs, fires, idle accounting)
-    before either leg is timed.
+    cycle is an idle wait the event core can skip.  ``drive`` and the
+    per-cycle reference are asserted cycle-identical (cycles, outputs,
+    fires, idle accounting) before either leg is timed.
     """
     graph = community_graph(2000, 16000, seed_stream="perf")
     cc = CompressedCsr(graph)
@@ -266,20 +266,20 @@ def bench_engine_drive(walk=1000, mem_latency=300):
                            consume=(ROWS_QUEUE,), dequeues_per_cycle=4,
                            max_cycles=10 ** 8)
 
-    def run(mode):
+    def run(drive_fn):
         engine = Fetcher.from_program(
             compressed_csr_traversal(), space,
             SpZipConfig(au_outstanding_lines=1),
-            mem_latency=mem_latency, mode=mode)
-        return drive(engine, request)
+            mem_latency=mem_latency)
+        return drive_fn(engine, request)
 
-    ref = run(MODE_CYCLE)
-    evt = run(MODE_EVENT)
+    ref = run(engine_oracle.drive)
+    evt = run(drive)
     assert (evt.cycles, evt.outputs, evt.fires_by_op, evt.idle_cycles) \
         == (ref.cycles, ref.outputs, ref.fires_by_op, ref.idle_cycles), \
         "event-driven engine diverged from per-cycle reference"
-    cycle_s, _ = timeit(lambda: run(MODE_CYCLE))
-    event_s, _ = timeit(lambda: run(MODE_EVENT))
+    cycle_s, _ = timeit(lambda: run(engine_oracle.drive))
+    event_s, _ = timeit(lambda: run(drive))
     return {
         "engine_cycles": ref.cycles,
         "walked_rows": walk,

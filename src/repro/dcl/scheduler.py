@@ -79,10 +79,11 @@ class RoundRobinScheduler:
     def skip_idle(self, cycles: int) -> None:
         """Account ``cycles`` idle cycles elided by skip-ahead.
 
-        The per-cycle reference calls :meth:`pick` once per idle cycle
-        (each incrementing ``idle_cycles``); the event core jumps those
-        cycles in one step and books them here so activity statistics
-        stay identical between the two modes.
+        The per-cycle reference (``tests/oracles/engine.py``) calls
+        :meth:`pick` once per idle cycle (each incrementing
+        ``idle_cycles``); the event loops jump those cycles in one step
+        and book them here so activity statistics stay identical to the
+        reference.
         """
         if cycles < 0:
             raise ValueError("cannot skip a negative cycle count")
@@ -104,8 +105,8 @@ class RoundRobinScheduler:
     def activity_factor(self) -> float:
         """Fraction of cycles with an operator firing (paper: ~33%).
 
-        Skipped idle cycles are part of the denominator — the event and
-        per-cycle modes report the same factor for the same run.
+        Skipped idle cycles are part of the denominator — the event
+        loops report the same factor as the per-cycle reference.
         """
         total = self.issued + self.idle_cycles
         return self.issued / total if total else 0.0

@@ -9,9 +9,6 @@ from repro.engine.area import (
     spzip_core_overhead,
 )
 from repro.engine.base import (
-    MODE_CYCLE,
-    MODE_EVENT,
-    MODES,
     EngineStall,
     SpZipEngine,
     engine_stats,
@@ -55,9 +52,6 @@ __all__ = [
     "Feed",
     "Fetcher",
     "INPUT_QUEUE",
-    "MODES",
-    "MODE_CYCLE",
-    "MODE_EVENT",
     "MulticoreTraversal",
     "NEIGH_QUEUE",
     "OFFSETS_INPUT_QUEUE",

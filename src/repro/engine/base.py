@@ -13,33 +13,26 @@ while earlier data drains into queues.  Shallow queues throttle this —
 responses stall when their output queue is full — which is exactly the
 scratchpad-size sensitivity of Fig 21.
 
-Execution modes
----------------
+Execution
+---------
 
-The engine runs in one of two modes (:data:`MODE_EVENT` is the default;
-:data:`MODE_CYCLE` is the per-cycle reference, kept opt-in):
+The engine runs **event-driven**: it executes exactly the cycles of the
+literal hardware loop *that do work*.  Operator readiness in this model
+changes only at discrete events (a fire, an in-order AU delivery, a
+core enqueue/dequeue); the single time-driven event is the AU's next
+completion.  Whenever a cycle does no work, the loop jumps the clock
+straight to that completion (booking the skipped cycles as scheduler
+idle), and when exactly one context is runnable it fires it in bounded
+bursts without re-running the full cycle machinery.
 
-* **cycle** — the literal hardware loop: every simulated cycle delivers
-  responses, asks the scheduler for one ready context, and advances the
-  clock, even when nothing can possibly happen.  The paper's scheduler
-  reports ~33% activity, so most reference cycles are interpreter time
-  spent proving idleness.
-* **event** — an event-driven core that executes exactly the same
-  cycles *that do work*.  Operator readiness in this model changes only
-  at discrete events (a fire, an in-order AU delivery, a core
-  enqueue/dequeue); the single time-driven event is the AU's next
-  completion.  Whenever a cycle does no work, the core jumps the clock
-  straight to that completion (booking the skipped cycles as scheduler
-  idle), and when exactly one context is runnable it fires it in
-  bounded bursts without re-running the full cycle machinery.
-
-The event mode is **cycle-identical** to the reference: same cycle
-counts, same per-operator fire counts, same idle/activity statistics,
-same queue high-water marks — enforced by the randomized equivalence
-suite in ``tests/test_engine_equivalence.py``.  The only observable
-difference is deadlock detection: the reference spins 10k cycles before
-raising :class:`EngineStall`, while the event core proves "no future
-event" and raises immediately.
+The loop is **cycle-identical** to the per-cycle reference in
+``tests/oracles/engine.py`` (every cycle delivers, picks, and advances
+the clock): same cycle counts, same per-operator fire counts, same
+idle/activity statistics, same queue high-water marks — enforced by the
+randomized equivalence suite in ``tests/test_engine_equivalence.py``.
+The only observable difference is deadlock detection: the reference
+spins 10k cycles before raising :class:`EngineStall`, while the event
+loop proves "no future event" and raises immediately.
 """
 
 from __future__ import annotations
@@ -60,21 +53,9 @@ from repro.memory.address import AddressSpace
 #: Memory port signature: (addr, nbytes, write) -> latency cycles.
 MemPort = Callable[[int, int, bool], int]
 
-#: Execution modes (see the module docstring).
-MODE_EVENT = "event"
-MODE_CYCLE = "cycle"
-MODES = (MODE_EVENT, MODE_CYCLE)
-
 #: Upper bound on consecutive sole-context fires before the event core
 #: re-enters the full scheduling loop (bounded bursts).
 BURST_CYCLES = 256
-
-
-def validate_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"unknown engine mode {mode!r} "
-                         f"(expected one of {MODES})")
-    return mode
 
 
 @dataclass
@@ -97,13 +78,11 @@ class SpZipEngine:
 
     def __init__(self, config: SpZipConfig, space: AddressSpace,
                  mem_port: Optional[MemPort] = None,
-                 mem_latency: int = 20,
-                 mode: str = MODE_EVENT) -> None:
+                 mem_latency: int = 20) -> None:
         self.config = config
         self.space = space
         self._mem_port = mem_port
         self._flat_latency = mem_latency
-        self.mode = validate_mode(mode)
         self.cycle = 0
         self.queues: Dict[str, MarkerQueue] = {}
         self.operators: List[Operator] = []
@@ -123,19 +102,18 @@ class SpZipEngine:
     def from_program(cls, program: Program, space: AddressSpace,
                      config: Optional[SpZipConfig] = None, *,
                      mem_port: Optional[MemPort] = None,
-                     mem_latency: Optional[int] = None,
-                     mode: str = MODE_EVENT) -> "SpZipEngine":
+                     mem_latency: Optional[int] = None) -> "SpZipEngine":
         """Build a fully wired engine in one step.
 
         This is the public construction surface: hardware parameters
         (``config``), the address space the program's regions resolve
-        against, the memory port (or a flat latency), and the execution
-        mode all land here, and the program is validated and installed
-        before the engine is returned.  ``mem_latency=None`` keeps the
-        engine type's default (fetchers model an L2-side port,
-        compressors an LLC-side one, so their defaults differ).
+        against, and the memory port (or a flat latency) all land here,
+        and the program is validated and installed before the engine is
+        returned.  ``mem_latency=None`` keeps the engine type's default
+        (fetchers model an L2-side port, compressors an LLC-side one, so
+        their defaults differ).
         """
-        kwargs: Dict[str, object] = {"mem_port": mem_port, "mode": mode}
+        kwargs: Dict[str, object] = {"mem_port": mem_port}
         if mem_latency is not None:
             kwargs["mem_latency"] = mem_latency
         engine = cls(config or SpZipConfig(), space, **kwargs)
@@ -274,84 +252,35 @@ class SpZipEngine:
             popped = True
         return pushed, popped
 
-    def _deliver_responses(self) -> bool:
-        pushed, _popped = self._deliver()
-        return pushed
-
     # -- execution -----------------------------------------------------------------
 
     def tick(self) -> bool:
-        """Advance one cycle; returns True if any work happened."""
-        if self.scheduler is None:
-            raise RuntimeError("no program loaded")
-        progressed = self._deliver_responses()
-        op = self.scheduler.pick(self)
-        if op is not None:
-            op.fire(self)
-            progressed = True
-        elif self._inflight:
-            progressed = True  # waiting on memory is progress
-        self.cycle += 1
-        return progressed
-
-    def tick_work(self) -> bool:
         """Advance one cycle; returns True only if *state changed*.
 
-        Unlike :meth:`tick` (whose return value treats waiting on memory
-        as progress, feeding the reference loop's stall detector), this
-        reports real work: a delivery, a retired request, or a fire.
+        State changes are a delivery, a retired request, or a fire.
         ``False`` means the cycle was provably a no-op and every cycle
         until the next AU completion would be too — the signal the
-        event-driven loops skip on.
+        event-driven loops skip on.  (Waiting on in-flight memory is
+        not a change; the per-cycle reference in
+        ``tests/oracles/engine.py`` counts it as progress for its
+        stall guard.)
         """
         if self.scheduler is None:
             raise RuntimeError("no program loaded")
-        if self._inflight \
-                and self._inflight[0].complete_at <= self.cycle:
-            pushed, popped = self._deliver()
-        else:
-            pushed = popped = False
+        pushed, popped = self._deliver()
         op = self.scheduler.pick(self)
         if op is not None:
             op.fire(self)
         self.cycle += 1
         return pushed or popped or op is not None
 
-    def run(self, max_cycles: int = 10_000_000,
-            mode: Optional[str] = None) -> int:
+    def run(self, max_cycles: int = 10_000_000) -> int:
         """Run until fully drained; returns cycles spent.
 
-        ``mode`` overrides the engine's configured execution mode for
-        this call (``"cycle"`` per-cycle reference, ``"event"``
-        skip-ahead; both produce identical cycle counts and statistics).
-        """
-        mode = validate_mode(mode or self.mode)
-        if mode == MODE_CYCLE:
-            return self._run_cycle(max_cycles)
-        return self._run_event(max_cycles)
-
-    def _run_cycle(self, max_cycles: int) -> int:
-        """Per-cycle reference loop (the literal hardware behaviour)."""
-        start = self.cycle
-        idle = 0
-        while not self.is_drained():
-            if self.tick():
-                idle = 0
-            else:
-                idle += 1
-                if idle > 10_000:
-                    raise EngineStall(
-                        f"engine made no progress for {idle} cycles "
-                        f"(output queue never drained?)")
-            if self.cycle - start > max_cycles:
-                raise EngineStall(f"exceeded {max_cycles} cycles")
-        return self.cycle - start
-
-    def _run_event(self, max_cycles: int) -> int:
-        """Event-driven loop: skip idle stretches, burst sole contexts.
-
-        Cycle-identical to :meth:`_run_cycle`; see the module docstring
-        for the argument.  Two invariants carry the proof:
+        Event-driven: idle stretches are skipped and sole contexts fire
+        in bursts.  Cycle-identical to the per-cycle reference; see the
+        module docstring for the argument.  Two invariants carry the
+        proof:
 
         * a cycle that does no work leaves every queue, context, and AU
           slot untouched, so every subsequent cycle before the next AU

@@ -13,12 +13,12 @@ single global cycle loop, so the result is a *makespan* in engine cycles
 plus per-core statistics — the functional twin of the scheme-level
 model's work-stealing imbalance factor.
 
-Like the single-engine paths, the global loop runs in two modes: the
-per-cycle reference and an event-driven fast path that skips cycles in
-which *no core* can do anything — all fetchers idle, all deliveries in
-flight — straight to the earliest access-unit completion across cores
-(every fetcher's clock and idle statistics advance in lockstep).  Both
-modes produce the same makespan and per-core counters.
+Like the single-engine paths, the global loop is event-driven: it
+skips cycles in which *no core* can do anything — all fetchers idle,
+all deliveries in flight — straight to the earliest access-unit
+completion across cores (every fetcher's clock and idle statistics
+advance in lockstep).  It produces the same makespan and per-core
+counters as the per-cycle reference in ``tests/oracles/engine.py``.
 """
 
 from __future__ import annotations
@@ -29,12 +29,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.dcl import pack_range
 from repro.dcl.program import Program
-from repro.engine.base import (
-    MODE_CYCLE,
-    MODE_EVENT,
-    EngineStall,
-    validate_mode,
-)
+from repro.engine.base import EngineStall
 from repro.engine.fetcher import Fetcher
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -80,8 +75,7 @@ class MulticoreTraversal:
                  consume_queues: List[str],
                  num_cores: Optional[int] = None,
                  dequeues_per_cycle: int = 2,
-                 on_entry=None,
-                 mode: str = MODE_EVENT) -> None:
+                 on_entry=None) -> None:
         self.hierarchy = hierarchy
         self.num_cores = num_cores if num_cores is not None \
             else hierarchy.config.num_cores
@@ -89,26 +83,20 @@ class MulticoreTraversal:
         self.consume_queues = consume_queues
         self.dequeues_per_cycle = dequeues_per_cycle
         self.on_entry = on_entry
-        self.mode = validate_mode(mode)
         self.cores: List[CoreState] = []
         for core_id in range(self.num_cores):
-            fetcher = Fetcher.for_core(hierarchy, core=core_id, mode=mode,
+            fetcher = Fetcher.for_core(hierarchy, core=core_id,
                                        program=program_factory())
             self.cores.append(CoreState(fetcher=fetcher))
 
     def run(self, chunks: List[Chunk],
-            max_cycles: int = 50_000_000,
-            mode: Optional[str] = None) -> Dict[str, object]:
+            max_cycles: int = 50_000_000) -> Dict[str, object]:
         """Execute all chunks; returns makespan + per-core stats."""
-        mode = validate_mode(mode or self.mode)
         for core in self.cores:
             core.chunks = deque()
         for index, chunk in enumerate(chunks):
             self.cores[index % self.num_cores].chunks.append(chunk)
-        if mode == MODE_CYCLE:
-            cycle = self._run_cycle(max_cycles)
-        else:
-            cycle = self._run_event(max_cycles)
+        cycle = self._run_event(max_cycles)
         total = sum(core.elements for core in self.cores)
         return {
             "makespan_cycles": cycle,
@@ -118,29 +106,6 @@ class MulticoreTraversal:
             "steals": sum(c.steals for c in self.cores),
             "finish_cycles": [c.finish_cycle for c in self.cores],
         }
-
-    def _run_cycle(self, max_cycles: int) -> int:
-        """Per-cycle reference global loop."""
-        cycle = 0
-        idle_streak = 0
-        while True:
-            progressed = False
-            active = 0
-            for core_id, core in enumerate(self.cores):
-                if self._step_core(core_id, core, cycle):
-                    progressed = True
-                if core.current is not None or core.chunks \
-                        or not core.fetcher.is_drained():
-                    active += 1
-            cycle += 1
-            if active == 0:
-                break
-            idle_streak = 0 if progressed else idle_streak + 1
-            if idle_streak > 10_000:
-                raise EngineStall("multicore traversal stalled")
-            if cycle > max_cycles:
-                raise EngineStall(f"exceeded {max_cycles} cycles")
-        return cycle
 
     def _run_event(self, max_cycles: int) -> int:
         """Event-driven global loop; same makespan as the reference.
@@ -157,7 +122,7 @@ class MulticoreTraversal:
             worked = False
             active = 0
             for core_id, core in enumerate(self.cores):
-                if self._step_core_event(core_id, core, cycle):
+                if self._step_core(core_id, core, cycle):
                     worked = True
                 if core.current is not None or core.chunks \
                         or not core.fetcher.is_drained():
@@ -192,45 +157,11 @@ class MulticoreTraversal:
 
     def _step_core(self, core_id: int, core: CoreState,
                    cycle: int) -> bool:
-        progressed = False
-        # Start the next chunk when the previous one fully drained.
-        if core.current is None and core.fetcher.is_drained() \
-                and self._outputs_empty(core):
-            chunk = self._next_chunk(core_id, core)
-            if chunk is not None:
-                self.feed(core.fetcher, chunk)
-                core.current = chunk
-                progressed = True
-        if core.fetcher.tick():
-            progressed = True
-        # Core-side dequeues.
-        budget = self.dequeues_per_cycle
-        for name in self.consume_queues:
-            while budget > 0:
-                entry = core.fetcher.dequeue(name)
-                if entry is None:
-                    break
-                budget -= 1
-                progressed = True
-                if entry.marker:
-                    core.markers += 1
-                else:
-                    core.elements += 1
-                if self.on_entry is not None:
-                    self.on_entry(core_id, name, entry)
-        if core.current is not None and core.fetcher.is_drained() \
-                and self._outputs_empty(core):
-            core.current = None
-            core.finish_cycle = cycle
-        return progressed
+        """One core, one cycle; returns True if *state changed*.
 
-    def _step_core_event(self, core_id: int, core: CoreState,
-                         cycle: int) -> bool:
-        """Reference :meth:`_step_core`, reporting *state changes*.
-
-        Differs from the reference only in what counts as progress (the
-        cycle executed is identical): waiting on in-flight memory is not
-        work (the global loop skips over it instead), while a chunk
+        Executes the same cycle as the reference step and differs only
+        in what counts as progress: waiting on in-flight memory is not work
+        (the global loop skips over it instead), while a chunk
         completing *is* (it mutates core state, so the next cycle can't
         be elided).
         """
@@ -242,7 +173,7 @@ class MulticoreTraversal:
                 self.feed(core.fetcher, chunk)
                 core.current = chunk
                 progressed = True
-        if core.fetcher.tick_work():
+        if core.fetcher.tick():
             progressed = True
         budget = self.dequeues_per_cycle
         for name in self.consume_queues:
@@ -284,8 +215,7 @@ def parallel_row_traversal(hierarchy: MemoryHierarchy, num_vertices: int,
                            program_factory: Callable[[], Program],
                            chunk_vertices: int = 64,
                            num_cores: Optional[int] = None,
-                           collect: bool = False,
-                           mode: str = MODE_EVENT):
+                           collect: bool = False):
     """Convenience wrapper: chunked CSR-style traversal on all cores.
 
     Feeds each chunk as the (rows, offsets-boundary) range pair the
@@ -312,7 +242,7 @@ def parallel_row_traversal(hierarchy: MemoryHierarchy, num_vertices: int,
     traversal = MulticoreTraversal(
         hierarchy, program_factory, feed, [ROWS_QUEUE],
         num_cores=num_cores,
-        on_entry=on_entry if collect else None, mode=mode)
+        on_entry=on_entry if collect else None)
     stats = traversal.run(make_chunks(num_vertices, chunk_vertices))
     if collect:
         stats["collected"] = collected

@@ -375,17 +375,17 @@ def fig20_decoupling_vs_compression(runner: Runner) -> ExperimentResult:
         rows)
 
 
-def fig21_scratchpad(runner: Runner, rows_to_walk: int = 1500,
-                     mode: str = "event") -> ExperimentResult:
+def fig21_scratchpad(runner: Runner,
+                     rows_to_walk: int = 1500) -> ExperimentResult:
     """Fig 21: fetcher scratchpad size sensitivity (functional engine).
 
     Runs the Fig 3 compressed-CSR traversal of CC's input through the
     *functional* fetcher model at 1/2/4 KB scratchpads, for the
     non-preprocessed and DFS-preprocessed graphs, reporting cycles
     normalized to the 2 KB default (higher = better performance).
-    ``mode`` selects the engine execution mode (the event-driven default
-    skips the idle cycles that dominate this memory-bound sweep; the
-    per-cycle reference produces identical cycle counts).
+    The event-driven engine skips the idle cycles that dominate this
+    memory-bound sweep; its cycle counts are identical to the per-cycle
+    reference's (``tests/test_engine_equivalence.py``).
     """
     import numpy as np
     from repro.config import SpZipConfig
@@ -415,7 +415,7 @@ def fig21_scratchpad(runner: Runner, rows_to_walk: int = 1500,
             fetcher = Fetcher.from_program(
                 compressed_csr_traversal(), space,
                 SpZipConfig(scratchpad_bytes=scratch_kb * 1024),
-                mem_latency=60, mode=mode)
+                mem_latency=60)
             walk = min(rows_to_walk, graph.num_vertices)
             result = drive(fetcher, DriveRequest(feeds={INPUT_QUEUE: [pack_range(0, walk + 1)]},
                                                  consume=[ROWS_QUEUE],

@@ -10,8 +10,6 @@ from repro.dcl import Entry, MarkerQueue, NEVER, RoundRobinScheduler, \
     pack_range
 from repro.engine import (
     INPUT_QUEUE,
-    MODE_CYCLE,
-    MODE_EVENT,
     ROWS_QUEUE,
     DriveRequest,
     EngineStall,
@@ -59,13 +57,14 @@ class TestDriveRequest:
         with pytest.raises(AttributeError):
             req.max_cycles = 5
 
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            DriveRequest(mode="warp")
-
     def test_rejects_bad_dequeue_rate(self):
         with pytest.raises(ValueError):
             DriveRequest(dequeues_per_cycle=0)
+
+    @pytest.mark.parametrize("max_cycles", [0, -1])
+    def test_rejects_nonpositive_cycle_budget(self, max_cycles):
+        with pytest.raises(ValueError, match="max_cycles"):
+            DriveRequest(max_cycles=max_cycles)
 
 
 class TestDriveResult:
@@ -117,14 +116,19 @@ class TestDrive:
         assert result.issued == sum(result.fires_by_op.values()) > 0
         assert result.cycles == result.issued + result.idle_cycles
         assert 0.0 < result.activity_factor <= 1.0
-        assert result.mode == MODE_EVENT
 
-    def test_mode_override_per_request(self):
-        result = drive(tiny_fetcher(), DriveRequest(
-            feeds={INPUT_QUEUE: [pack_range(0, 5)]},
-            consume=[ROWS_QUEUE], mode=MODE_CYCLE))
-        assert result.mode == MODE_CYCLE
-        assert result.skipped_idle_cycles == 0
+    @pytest.mark.parametrize("feed, consume", [("inptu", ROWS_QUEUE),
+                                               (INPUT_QUEUE, "rowz")])
+    def test_unknown_queue_rejected_before_running(self, feed, consume):
+        f = tiny_fetcher()
+        with pytest.raises(ValueError) as err:
+            drive(f, DriveRequest(feeds={feed: [pack_range(0, 5)]},
+                                  consume=[consume]))
+        bad = feed if feed != INPUT_QUEUE else consume
+        message = str(err.value)
+        assert repr(bad) in message
+        assert repr(INPUT_QUEUE) in message and repr(ROWS_QUEUE) in message
+        assert f.cycle == 0
 
 
 class TestRemovedShim:
@@ -172,14 +176,6 @@ class TestFromProgram:
         req = DriveRequest(feeds={INPUT_QUEUE: [pack_range(0, 5)]},
                            consume=[ROWS_QUEUE])
         assert drive(manual, req).cycles == drive(built, req).cycles
-
-    def test_mode_validated(self):
-        with pytest.raises(ValueError):
-            tiny_fetcher(mode="bogus")
-
-    def test_mode_stored(self):
-        assert tiny_fetcher(mode=MODE_CYCLE).mode == MODE_CYCLE
-        assert tiny_fetcher().mode == MODE_EVENT
 
 
 class TestRoundRobinScheduler:

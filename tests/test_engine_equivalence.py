@@ -1,10 +1,12 @@
-"""Randomized per-cycle vs event-driven equivalence suite.
+"""Randomized event-driven vs per-cycle reference equivalence suite.
 
 The event-driven engine core (skip-ahead + bounded bursts) must be
-**cycle-identical** to the per-cycle reference: same cycle counts, same
-outputs, same per-operator fire counts, same idle/activity statistics,
-same memory traffic, same queue high-water marks.  This suite drives the
-same randomized workload through both modes and compares everything
+**cycle-identical** to the per-cycle reference in
+``tests/oracles/engine.py``: same cycle counts, same outputs, same
+per-operator fire counts, same idle/activity statistics, same memory
+traffic, same queue high-water marks.  Each case builds two identical
+engines, runs one through ``drive``/``run``/``parallel_row_traversal``
+and the other through the reference loops, and compares everything
 observable — the ``repro.memory.batch`` equivalence playbook applied to
 the engine.
 
@@ -17,11 +19,12 @@ Coverage:
 * hostile configurations: single-outstanding-line access units, one-byte
   FU throughput, near-zero-credit scratchpads, slow consumers;
 * the multicore work-stealing runtime (makespan + per-core counters);
-* stall parity: when the reference deadlocks, event mode must raise
+* stall parity: when the reference deadlocks, the event loop must raise
   :class:`EngineStall` too (it concludes immediately instead of spinning
   10k no-op cycles, which is the one documented divergence).
 """
 
+import functools
 import random
 
 import numpy as np
@@ -36,8 +39,6 @@ from repro.engine import (
     BIN_QUEUE,
     CONTRIBS_QUEUE,
     INPUT_QUEUE,
-    MODE_CYCLE,
-    MODE_EVENT,
     NEIGH_QUEUE,
     OFFSETS_INPUT_QUEUE,
     ROWS_QUEUE,
@@ -45,6 +46,7 @@ from repro.engine import (
     DriveRequest,
     EngineStall,
     Fetcher,
+    MulticoreTraversal,
     bfs_push,
     compressed_csr_traversal,
     csr_traversal,
@@ -56,6 +58,7 @@ from repro.engine import (
 )
 from repro.graph import CompressedCsr, CsrGraph, community_graph
 from repro.memory import AddressSpace, MemoryHierarchy
+from tests.oracles import engine as reference
 
 STALLED = "stalled"
 
@@ -87,7 +90,7 @@ def generated_program(seed):
     randomly inserted decompression stage, random fan-out to a shadow
     queue, and a random trailing indirect prefetch: the structural
     variety of the paper's Figs 2/3/5/6 from one knob.  Deterministic in
-    ``seed`` so both modes can rebuild the identical program.
+    ``seed`` so both sides can rebuild the identical program.
     """
     rng = random.Random(seed)
     compressed = rng.random() < 0.5
@@ -156,24 +159,24 @@ def snapshot(engine):
 
 
 def run_both(make_engine, request):
-    """Drive the same workload in both modes; compare or die.
+    """Drive the same workload on the reference and the event loop.
 
-    Returns ``(ref_pair, evt_pair)`` on success.  A stall in one mode
-    must be a stall in the other (after which nothing else is
+    Returns ``(ref_pair, evt_pair)`` on success.  A stall on one side
+    must be a stall on the other (after which nothing else is
     comparable in a deadlocked run) — that yields ``None``.
     """
     observed = {}
-    for mode in (MODE_CYCLE, MODE_EVENT):
-        engine = make_engine(mode)
+    for side, run in (("ref", reference.drive), ("evt", drive)):
+        engine = make_engine()
         try:
-            result = drive(engine, request)
+            result = run(engine, request)
         except EngineStall:
-            observed[mode] = STALLED
+            observed[side] = STALLED
             continue
-        observed[mode] = (result, snapshot(engine))
-    ref, evt = observed[MODE_CYCLE], observed[MODE_EVENT]
+        observed[side] = (result, snapshot(engine))
+    ref, evt = observed["ref"], observed["evt"]
     assert (ref == STALLED) == (evt == STALLED), \
-        "one mode stalled, the other completed"
+        "one side stalled, the other completed"
     if ref == STALLED:
         return None
     return ref, evt
@@ -188,7 +191,7 @@ def assert_identical(ref_pair, evt_pair):
     assert evt.issued == ref.issued
     assert evt.idle_cycles == ref.idle_cycles
     assert evt.activity_factor == pytest.approx(ref.activity_factor)
-    # The per-cycle reference executes every idle cycle; the event mode
+    # The per-cycle reference executes every idle cycle; the event loop
     # may account some of the same idle cycles as skipped.
     assert ref.skipped_idle_cycles == 0
     assert evt.skipped_idle_cycles <= evt.idle_cycles
@@ -211,11 +214,11 @@ class TestGeneratedPrograms:
             dequeues_per_cycle=rng.choice([1, 2, 4]),
             max_cycles=2_000_000)
 
-        def make(mode):
+        def make():
             return Fetcher.from_program(
                 generated_program(0xE5C0 + seed)[0],
                 traversal_space(graph, compressed), config,
-                mem_latency=latency, mode=mode)
+                mem_latency=latency)
 
         pair = run_both(make, request)
         if pair is not None:
@@ -230,11 +233,11 @@ class TestPaperPipelines:
         config = random_config(rng, hostile=seed % 2 == 0)
         latency = rng.choice([1, 20, 60])
 
-        def make(mode):
+        def make():
             return Fetcher.from_program(
                 csr_traversal(row_elem_bytes=4),
                 traversal_space(graph, compressed=False), config,
-                mem_latency=latency, mode=mode)
+                mem_latency=latency)
 
         request = DriveRequest(
             feeds={INPUT_QUEUE: [pack_range(0, graph.num_vertices + 1)]},
@@ -252,11 +255,11 @@ class TestPaperPipelines:
         config = random_config(rng, hostile=seed % 2 == 1)
         latency = rng.choice([1, 20, 113])
 
-        def make(mode):
+        def make():
             return Fetcher.from_program(
                 compressed_csr_traversal(),
                 traversal_space(graph, compressed=True), config,
-                mem_latency=latency, mode=mode)
+                mem_latency=latency)
 
         request = DriveRequest(
             feeds={INPUT_QUEUE: [pack_range(0, graph.num_vertices + 1)]},
@@ -271,7 +274,7 @@ class TestPaperPipelines:
         graph = random_graph(rng, max_vertices=24)
         n = graph.num_vertices
 
-        def make(mode):
+        def make():
             space = AddressSpace()
             if compressed:
                 cc = CompressedCsr(graph)
@@ -289,7 +292,7 @@ class TestPaperPipelines:
                               "destination_vertex")
             return Fetcher.from_program(
                 pagerank_push(compressed=compressed), space,
-                SpZipConfig(), mem_latency=20, mode=mode)
+                SpZipConfig(), mem_latency=20)
 
         request = DriveRequest(
             feeds={INPUT_QUEUE: [pack_range(0, n)],
@@ -305,7 +308,7 @@ class TestPaperPipelines:
         frontier = np.arange(min(5, graph.num_vertices),
                              dtype=np.uint32)
 
-        def make(mode):
+        def make():
             space = AddressSpace()
             space.alloc_array("frontier", frontier, "updates")
             space.alloc_array("offsets", graph.offsets, "adjacency")
@@ -315,7 +318,7 @@ class TestPaperPipelines:
                                        dtype=np.int64),
                               "destination_vertex")
             return Fetcher.from_program(bfs_push(), space, SpZipConfig(),
-                                        mem_latency=40, mode=mode)
+                                        mem_latency=40)
 
         request = DriveRequest(
             feeds={INPUT_QUEUE: [pack_range(0, len(frontier))]},
@@ -336,12 +339,12 @@ class TestCompressorPipelines:
         latency = rng.choice([1, 30])
         feed = [(int(v), False) for v in values] + [(0, True)]
 
-        def make(mode):
+        def make():
             space = AddressSpace()
             space.alloc("compressed_out", 1 << 16, "updates")
             return Compressor.from_program(
                 single_stream_compress(chunk_elems=chunk), space, config,
-                mem_latency=latency, mode=mode)
+                mem_latency=latency)
 
         request = DriveRequest(feeds={INPUT_QUEUE: list(feed)},
                                max_cycles=2_000_000)
@@ -356,28 +359,36 @@ class TestCompressorPipelines:
         feed = [(pack_tuple(int(g.integers(0, num_bins)), int(v)), False)
                 for v in g.integers(0, 5_000, 40)]
 
-        def run(mode):
+        def run(on_reference):
             space = AddressSpace()
             space.alloc("mqu_staging", num_bins * 512, "updates")
             space.alloc("compressed_bins", num_bins * (1 << 16),
                         "updates")
             comp = Compressor.from_program(
                 ub_bins_compress(num_bins, chunk_elems=8), space,
-                SpZipConfig(), mem_latency=11, mode=mode)
-            drive(comp, DriveRequest(feeds={BIN_QUEUE: list(feed)},
-                                     max_cycles=2_000_000))
+                SpZipConfig(), mem_latency=11)
+            request = DriveRequest(feeds={BIN_QUEUE: list(feed)},
+                                   max_cycles=2_000_000)
+            if on_reference:
+                reference.drive(comp, request)
+                # drain() runs the engine through self.run/self.tick;
+                # shadow both so the drain happens on the reference.
+                comp.run = functools.partial(reference.run, comp)
+                comp.tick = functools.partial(reference.tick, comp)
+            else:
+                drive(comp, request)
             comp.drain()
             return snapshot(comp)
 
-        assert run(MODE_EVENT) == run(MODE_CYCLE)
+        assert run(on_reference=False) == run(on_reference=True)
 
 
 class TestMulticore:
     @pytest.mark.parametrize("num_cores", [1, 2, 4])
-    def test_makespan_identical(self, num_cores):
+    def test_makespan_identical(self, num_cores, monkeypatch):
         graph = community_graph(192, 1500, seed_stream="equiv-mc")
 
-        def run(mode):
+        def run():
             hier = MemoryHierarchy(SystemConfig().scaled(4096),
                                    fast=True)
             hier.space.alloc_array("offsets", graph.offsets,
@@ -386,10 +397,15 @@ class TestMulticore:
             return parallel_row_traversal(
                 hier, graph.num_vertices,
                 lambda: csr_traversal(row_elem_bytes=4),
-                chunk_vertices=32, num_cores=num_cores, mode=mode)
+                chunk_vertices=32, num_cores=num_cores)
 
-        ref = run(MODE_CYCLE)
-        evt = run(MODE_EVENT)
+        with monkeypatch.context() as patch:
+            # Same runtime, chunk dealing and feeds; only the global
+            # loop is swapped for the per-cycle reference.
+            patch.setattr(MulticoreTraversal, "_run_event",
+                          reference.run_multicore)
+            ref = run()
+        evt = run()
         for key in ("makespan_cycles", "total_elements",
                     "per_core_elements", "per_core_markers", "steals",
                     "finish_cycles"):
@@ -400,8 +416,8 @@ class TestEngineRun:
     """SpZipEngine.run() equivalence (no driver in the loop).
 
     Nobody dequeues the output queue here, so runs where it overflows
-    deadlock: the reference spins its 10k-cycle guard while event mode
-    concludes immediately — both must raise :class:`EngineStall`.
+    deadlock: the reference spins its 10k-cycle guard while the event
+    loop concludes immediately — both must raise :class:`EngineStall`.
     """
 
     @pytest.mark.parametrize("seed", range(4))
@@ -412,16 +428,16 @@ class TestEngineRun:
         latency = rng.choice([1, 20, 60])
         walk = max(1, graph.num_vertices // 3)
 
-        def run(mode):
+        def run(loop):
             f = Fetcher.from_program(
                 compressed_csr_traversal(),
                 traversal_space(graph, compressed=True), config,
-                mem_latency=latency, mode=mode)
+                mem_latency=latency)
             f.enqueue(INPUT_QUEUE, pack_range(0, walk))
             try:
-                f.run(max_cycles=2_000_000)
+                loop(f, max_cycles=2_000_000)
             except EngineStall:
                 return STALLED
             return snapshot(f)
 
-        assert run(MODE_EVENT) == run(MODE_CYCLE)
+        assert run(Fetcher.run) == run(reference.run)
