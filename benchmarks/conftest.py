@@ -1,10 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-All benchmarks share one session-scoped
-:class:`~repro.jobs.JobRunner`, so profiling work (cache replays,
-compression measurement) is done once per (app, input, preprocessing)
-and reused by every figure that needs it — exactly how the paper's
-figures share one set of simulations.
+All benchmarks share one session-scoped :class:`~repro.sim.Runner`, so
+profiling work (cache replays, compression measurement) is done once
+per (app, input, preprocessing) and reused by every figure that needs
+it — exactly how the paper's figures share one set of simulations.
 
 Two environment knobs engage the orchestration layer
 (see docs/ORCHESTRATION.md):
@@ -22,14 +21,14 @@ import os
 import pytest
 
 from repro.harness import ExperimentResult, render_table, save_table
-from repro.jobs import JobRunner
+from repro.sim import Runner
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
 @pytest.fixture(scope="session")
 def runner():
-    return JobRunner(
+    return Runner(
         jobs=int(os.environ.get("REPRO_JOBS", "1")),
         cache_dir=os.environ.get("REPRO_CACHE_DIR") or None)
 

@@ -53,9 +53,9 @@ from repro.graph.datasets import (
     load,
 )
 from repro.graph.delta import sample_delta
-from repro.jobs import JobRunner
 from repro.jobs.model import canonical_request
 from repro.runtime.traffic_array import partition_bounds
+from repro.sim import Runner
 from repro.stages import reset_stage_counters, stage_counters
 
 #: Two apps x the paper's six schemes on every graph input; only one
@@ -83,7 +83,7 @@ def cells_for(mutated_name: str):
 def sweep(scale: int, system, cache_dir: str, requests,
           partitions: int) -> float:
     """One full sweep on a fresh runner; returns wall seconds."""
-    runner = JobRunner(scale=scale, system=system, cache_dir=cache_dir,
+    runner = Runner(scale=scale, system=system, cache_dir=cache_dir,
                        partitions=partitions)
     start = time.monotonic()
     runner.prefetch(list(requests))

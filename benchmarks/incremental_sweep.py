@@ -38,8 +38,8 @@ import time
 from dataclasses import replace
 
 from repro.config import SystemConfig
-from repro.jobs import JobRunner
 from repro.jobs.model import RunRequest
+from repro.sim import Runner
 from repro.stages import reset_stage_counters, stage_counters
 
 #: The sweep: four apps x the paper's six schemes on one input — the
@@ -51,7 +51,7 @@ DATASET = "ukl"
 
 def sweep(scale: int, system, cache_dir: str, requests) -> float:
     """One full sweep on a fresh runner; returns wall seconds."""
-    runner = JobRunner(scale=scale, system=system, cache_dir=cache_dir)
+    runner = Runner(scale=scale, system=system, cache_dir=cache_dir)
     start = time.monotonic()
     runner.prefetch(list(requests))
     return time.monotonic() - start

@@ -24,12 +24,14 @@ Commands:
     and verification.
 
 ``report [--jobs N] [--cache-dir DIR] [--no-cache] [--telemetry F]``
-    Run experiments through the job orchestrator (parallel workers,
-    content-addressed result cache) and emit the markdown report.
+    Run experiments through the job layer (parallel workers,
+    content-addressed result cache) and emit the markdown report; the
+    job ledger (a span trace) lands under ``DIR/telemetry/``.
 
 ``jobs [--telemetry F] [--cache-dir DIR]``
-    Summarize the latest orchestrated run's JSONL telemetry (per-job
-    timing, cache hits, retries) and the result cache's state.
+    Summarize a job ledger (default: the latest under the cache dir)
+    or a ``--trace`` file — per-job timing, cache hits, retries — and
+    the result cache's state.
 
 ``serve [--host H] [--port P] [--backend thread|process] [--workers N]``
     Run the simulation-as-a-service HTTP/JSON front end (price/
@@ -56,6 +58,7 @@ JSONL (see docs/OBSERVABILITY.md) and print its per-name summary
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -184,8 +187,8 @@ def _cmd_compress(args) -> int:
 
 def _cmd_report(args) -> int:
     from repro.harness import generate_report
-    from repro.jobs import JobRunner
-    runner = JobRunner(
+    from repro.sim import Runner
+    runner = Runner(
         scale=args.scale, jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
         telemetry_path=args.telemetry,
@@ -200,13 +203,13 @@ def _cmd_report(args) -> int:
         print(f"wrote {args.out}")
     else:
         print(report)
-    if runner.telemetry_path:
+    if runner.telemetry_path and os.path.exists(runner.telemetry_path):
         print(f"telemetry: {runner.telemetry_path}", file=sys.stderr)
     return 0
 
 
 def _cmd_jobs(args) -> int:
-    """Inspect orchestration state: telemetry summaries, cache."""
+    """Inspect orchestration state: job-ledger summary, cache."""
     from repro.jobs import (
         ResultCache,
         latest_telemetry,
@@ -218,7 +221,7 @@ def _cmd_jobs(args) -> int:
     if path:
         print(render_summary(summarize(path)))
     else:
-        print(f"no telemetry found under {args.cache_dir!r}; run "
+        print(f"no job ledger found under {args.cache_dir!r}; run "
               f"`python -m repro report --cache-dir {args.cache_dir}` "
               f"first", file=sys.stderr)
         status = 1
@@ -359,12 +362,22 @@ def _cmd_traverse(args) -> int:
     return 0 if ok else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}")
-    return value
+def _checked(cast, ok, what: str):
+    """An argparse ``type`` that casts, then rejects values not ``ok``."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    parse.__name__ = cast.__name__  # argparse's "invalid int value"
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0,
+                            "a non-negative integer")
+# A zero --timeout "expires" every group at once, re-running each.
+_positive_float = _checked(float, lambda v: v > 0, "a positive number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,11 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache")
     report.add_argument("--telemetry", default=None,
-                        help="JSONL telemetry path (default: under the "
-                             "cache dir)")
-    report.add_argument("--timeout", type=float, default=None,
+                        help="job ledger (span trace JSONL) path "
+                             "(default: under the cache dir)")
+    report.add_argument("--timeout", type=_positive_float, default=None,
                         help="per-job-group timeout in seconds")
-    report.add_argument("--retries", type=int, default=1,
+    report.add_argument("--retries", type=_nonnegative_int, default=1,
                         help="retries per failed/timed-out job group")
     report.add_argument("--partitions", type=_positive_int, default=1,
                         help="vertex-range partitions of the stream "
@@ -429,11 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "whole report, including pool workers")
 
     jobs = sub.add_parser("jobs",
-                          help="summarize orchestration telemetry and "
+                          help="summarize a job ledger (or trace) and "
                                "cache state")
     jobs.add_argument("--telemetry", default=None,
-                      help="telemetry JSONL to summarize (default: "
-                           "latest under the cache dir)")
+                      help="job ledger or --trace file to summarize "
+                           "(default: latest ledger under the cache "
+                           "dir)")
     jobs.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
 
     serve = sub.add_parser("serve",

@@ -116,10 +116,10 @@ def rle_group_sizes(bits: np.ndarray,
     new_run[0] = True
     np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
     new_run[gs] = True
-    run_starts = np.flatnonzero(new_run)
-    lengths = np.diff(np.concatenate([run_starts, [n]])).astype(np.uint64)
-    sizes = _varint_sizes(lengths) + _varint_sizes(bits[run_starts])
-    return np.add.reduceat(sizes, np.searchsorted(run_starts, gs))
+    heads = np.flatnonzero(new_run)
+    lengths = np.diff(np.concatenate([heads, [n]])).astype(np.uint64)
+    sizes = _varint_sizes(lengths) + _varint_sizes(bits[heads])
+    return np.add.reduceat(sizes, np.searchsorted(heads, gs))
 
 
 def _subchunk_starts(group_starts: np.ndarray, total: int,

@@ -27,6 +27,7 @@ the old inline-pickle behaviour — same bytes, same tests.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -48,6 +49,8 @@ class GraphStore:
         self.root = root
         # path -> mapped array; one mapping per file per process.
         self._open: Dict[str, np.ndarray] = {}
+        #: Published graphs dropped because an array would not map.
+        self.corrupt_dropped = 0
 
     # -- arrays -----------------------------------------------------------
 
@@ -107,19 +110,38 @@ class GraphStore:
             raise
 
     def get_graph(self, key: str) -> Optional[CsrGraph]:
-        """Map a named graph back in, or None if never published."""
+        """Map a named graph back in, or None if never published.
+
+        A manifest whose arrays no longer map (pruned: ``OSError``;
+        truncated: ``ValueError``) is a counted miss.  It and the
+        arrays that fail to map are unlinked, since ``put_array`` never
+        overwrites, so the caller's rebuild republishes them.
+        """
         path = self._manifest_path(key)
         try:
             with open(path) as handle:
                 manifest = json.load(handle)
         except (OSError, ValueError):
             return None
+        arrays = (manifest["offsets"], manifest["neighbors"],
+                  manifest["values"])
         try:
-            return _rebuild_graph(
-                manifest["offsets"], manifest["neighbors"],
-                manifest["values"], manifest["digest"], store=self)
-        except OSError:  # manifest survived but an array was pruned
+            return _rebuild_graph(*arrays, manifest["digest"],
+                                  store=self)
+        except (OSError, ValueError):
+            self.corrupt_dropped += 1
+            broken = [a for a in arrays if a and not self._maps(a)]
+            for stale in [path] + broken:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(stale)
             return None
+
+    def _maps(self, path: str) -> bool:
+        try:
+            self.load_array(path)
+            return True
+        except (OSError, ValueError):
+            return False
 
     def release(self) -> None:
         """Drop this process's mappings.

@@ -12,6 +12,7 @@ import time
 from typing import Iterable, Optional
 
 from repro.harness.experiments import EXPERIMENTS, ExperimentResult
+from repro.jobs.plan import experiment_requests
 from repro.obs import TRACER
 from repro.sim.runner import Runner
 
@@ -40,11 +41,10 @@ def generate_report(runner: Optional[Runner] = None,
                     progress: bool = False) -> str:
     """Run experiments and return the combined markdown report.
 
-    When ``runner`` is a :class:`~repro.jobs.JobRunner`, the whole
-    cross-product of simulations the selected experiments need is
-    prefetched through the job layer first (parallel workers, disk
-    cache), and the experiment functions then assemble their tables
-    from the prefetched results.
+    The whole cross-product of simulations the selected experiments
+    need is prefetched through the runner's job layer first (its
+    workers and disk cache, if any), and the experiment functions then
+    assemble their tables from the prefetched results.
     """
     runner = runner if runner is not None else Runner()
     ids = list(experiment_ids) if experiment_ids is not None \
@@ -52,14 +52,12 @@ def generate_report(runner: Optional[Runner] = None,
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
         raise KeyError(f"unknown experiments: {unknown}")
-    if hasattr(runner, "prefetch"):
-        from repro.jobs.plan import experiment_requests
-        requests = experiment_requests(ids)
-        if requests:
-            if progress:
-                print(f"  prefetching {len(requests)} simulations "
-                      f"(jobs={getattr(runner, 'jobs', 1)})")
-            runner.prefetch(requests)
+    requests = experiment_requests(ids)
+    if requests:
+        if progress:
+            print(f"  prefetching {len(requests)} simulations "
+                  f"(jobs={runner.jobs})")
+        runner.prefetch(requests)
     sections = [
         "# SpZip reproduction — generated evaluation report",
         "",

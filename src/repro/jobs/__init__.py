@@ -1,15 +1,17 @@
 """Parallel experiment orchestration: job graphs, process-pool
-execution, content-addressed result caching, and run telemetry.
+execution, content-addressed result caching, and the job ledger.
 
 Layering (each module only imports downward):
 
 ``model``        job specs, the dependency graph, request canonical form
 ``fingerprint``  content-addressed cache keys (code-salted)
 ``cache``        the on-disk pickle store
-``telemetry``    JSONL run records and their summaries
+``telemetry``    the job ledger (a span trace) and its summaries
 ``executor``     serial / process-pool graph execution
 ``plan``         experiment id -> required simulations
-``orchestrator`` the ``Runner``-compatible front end (``JobRunner``)
+
+The front end is :class:`repro.sim.Runner` (``jobs``, ``cache_dir``,
+``prefetch``); ``JobRunner`` is kept as another name for it.
 """
 
 from repro.jobs.cache import DEFAULT_CACHE_DIR, NullCache, ResultCache
@@ -27,14 +29,12 @@ from repro.jobs.model import (
     canonical_params,
     canonical_request,
 )
-from repro.jobs.orchestrator import JobRunner
 from repro.jobs.plan import experiment_requests
 from repro.jobs.telemetry import (
     JobRecord,
     TelemetryWriter,
     default_telemetry_path,
     latest_telemetry,
-    read_records,
     render_summary,
     summarize,
 )
@@ -60,7 +60,14 @@ __all__ = [
     "experiment_requests",
     "job_fingerprint",
     "latest_telemetry",
-    "read_records",
     "render_summary",
     "summarize",
 ]
+
+
+def __getattr__(name: str):
+    # Resolved lazily: repro.sim.runner imports this package.
+    if name == "JobRunner":
+        from repro.sim.runner import Runner
+        return Runner
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

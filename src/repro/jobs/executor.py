@@ -235,6 +235,10 @@ class JobExecutor:
             raise ValueError("jobs must be >= 1")
         if partitions < 1:
             raise ValueError("partitions must be >= 1")
+        if timeout is not None and timeout <= 0:  # would re-run all
+            raise ValueError("timeout must be > 0 seconds (or None)")
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
         self.scale = scale
         self.system = system
         self.jobs = jobs
@@ -278,16 +282,27 @@ class JobExecutor:
 
     def run(self, requests: List[RunRequest]
             ) -> Dict[RunRequest, RunMetrics]:
-        """Execute all requests; returns results in request order."""
-        with TRACER.span("jobs.run", requests=len(requests),
-                         workers=self.jobs):
-            return self._run(requests)
+        """Execute all requests; returns results in request order.
+
+        The ledger's ``jobs.run`` span closes the run even when a job
+        failed, so the failed records it already holds read as a run.
+        """
+        start = time.monotonic()
+        try:
+            with TRACER.span("jobs.run", requests=len(requests),
+                             workers=self.jobs):
+                return self._run(requests)
+        finally:
+            summary = self.telemetry.finish(self.jobs, len(set(requests)),
+                                            start)
+            self._progress(
+                f"jobs: {summary['jobs']} total, {summary['hit']} cache "
+                f"hits, {summary['miss']} executed, "
+                f"{float(summary['wall_s']):.1f}s")
 
     def _run(self, requests: List[RunRequest]
              ) -> Dict[RunRequest, RunMetrics]:
         graph = build_job_graph(requests)
-        self.telemetry.start(self.jobs, len(graph.request_jobs),
-                             getattr(self.cache, "root", None))
         hits, keys = self._lookup(graph)
         results: Dict[str, RunMetrics] = dict(hits)
 
@@ -317,7 +332,7 @@ class JobExecutor:
                 outcomes = self._run_serial(pending)
             else:
                 outcomes = self._run_pool(pending)
-            self._absorb(outcomes, keys, results)
+            self._absorb(graph, outcomes, keys, results)
             delta = {k: v - before.get(k, 0)
                      for k, v in stage_counters().items()
                      if v - before.get(k, 0)}
@@ -326,29 +341,26 @@ class JobExecutor:
                 # theirs through adopted stage.* spans when tracing.
                 self._progress("stages: " + ", ".join(
                     f"{k}={v}" for k, v in sorted(delta.items())))
-
-        summary = self.telemetry.finish()
-        self._progress(
-            f"jobs: {summary['jobs']} total, {summary['hit']} cache "
-            f"hits, {summary['miss']} executed, "
-            f"{float(summary['wall_s']):.1f}s")
         return {request: results[job_id]
                 for request, job_id in graph.request_jobs.items()}
 
-    def _absorb(self, outcomes: Dict[str, Tuple[JobOutcome, int]],
+    def _absorb(self, graph: JobGraph,
+                outcomes: Dict[str, Tuple[JobOutcome, int]],
                 keys: Dict[str, str],
                 results: Dict[str, RunMetrics]) -> None:
         """Record telemetry, fill the cache, surface failures."""
         failed: List[str] = []
         for job_id in sorted(outcomes):
             (jid, metrics, wall, pid, error), retries = outcomes[job_id]
-            kind = "price" if jid.startswith("price:") else "profile"
+            job = graph.jobs[jid]
             self.telemetry.record(JobRecord(
-                job_id=jid, kind=kind,
-                status="failed" if error else "miss", wall_s=wall,
-                retries=retries, worker_pid=pid, error=error,
+                job_id=jid, kind=job.kind,
+                status="failed" if error else "miss", app=job.app,
+                dataset=job.dataset, preprocessing=job.preprocessing,
+                scheme=job.scheme, wall_s=wall, retries=retries,
+                worker_pid=pid, error=error,
                 cache_key=keys.get(jid, "")))
-            if error and kind == "price":
+            if error and job.kind == "price":
                 failed.append(f"{jid}: {error}")
             if metrics is not None:
                 results[jid] = metrics

@@ -1,23 +1,17 @@
-"""Run telemetry: structured JSONL records for every orchestrated job.
+"""The job ledger: every orchestrated job, written as a span trace.
 
-Each orchestrated run appends one file under
-``<cache root>/telemetry/``; every line is a self-describing JSON
-object distinguished by its ``event`` field:
+A runner with a ledger path (by default one file per run under
+``<cache root>/telemetry/``) appends a :mod:`repro.obs` trace file:
+a ``trace_start`` header, one ``jobs.job`` span per :class:`JobRecord`
+(duration = the job's wall seconds, attrs = the other fields), and one
+``jobs.run`` span closing each executor run with its counts.  Status
+is ``hit`` | ``miss`` | ``skipped`` | ``failed``.
 
-``run_start``
-    run id, timestamp, worker count, cache root, request count.
-``job``
-    one executed/cached/skipped job: id, kind, app/dataset/
-    preprocessing/scheme, status (``hit`` | ``miss`` | ``skipped`` |
-    ``failed``), wall seconds, retries, worker pid, cache key.
-``run_end``
-    aggregate counters and total wall time.
-
-``summarize``/``render_summary`` power ``python -m repro jobs``.
-
-While the module tracer (:data:`repro.obs.TRACER`) is active, every
-job record is mirrored as a ``jobs.job`` span so a traced run carries
-the telemetry stream inside the trace — one instrument, two views.
+The ledger is its own file, not the module tracer, so it stays on when
+tracing is off; while :data:`repro.obs.TRACER` is active each record
+is also mirrored there as a ``jobs.job`` span with the same attrs.
+``summarize``/``render_summary`` (``python -m repro jobs``) therefore
+read a ledger and a ``report --trace`` file alike.
 """
 
 from __future__ import annotations
@@ -29,7 +23,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from repro.obs import TRACER
+from repro.obs import TRACER, Span, read_trace
+from repro.obs.span import _new_span_id
 
 #: Job statuses, in reporting order.
 STATUSES = ("hit", "miss", "skipped", "failed")
@@ -55,11 +50,11 @@ class JobRecord:
 
 @dataclass
 class TelemetryWriter:
-    """Append-only JSONL emitter for one orchestrated run.
+    """Append-only job ledger (no file when ``path`` is None).
 
-    Record *timestamps* use the wall clock (meaningful across runs);
-    *durations* use the monotonic clock, which cannot run backwards
-    under NTP slew or clock adjustment.
+    The header *timestamp* uses the wall clock (meaningful across
+    runs); *durations* use the monotonic clock, which cannot run
+    backwards under NTP slew or clock adjustment.
     """
 
     path: Optional[str]
@@ -75,44 +70,46 @@ class TelemetryWriter:
             os.makedirs(os.path.dirname(self.path) or ".",
                         exist_ok=True)
 
-    def _emit(self, payload: Dict[str, object]) -> None:
+    def _emit(self, name: str, start_s: float, duration_s: float,
+              attrs: Dict[str, object]) -> None:
         if not self.path:
             return
+        span = Span(name=name, span_id=_new_span_id(), parent_id=None,
+                    start_s=start_s, duration_s=duration_s,
+                    pid=os.getpid(), attrs=attrs)
         with open(self.path, "a") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-
-    def start(self, jobs: int, requests: int,
-              cache_root: Optional[str]) -> None:
-        self._emit({"event": "run_start", "run_id": self.run_id,
-                    "time": self._start, "workers": jobs,
-                    "requests": requests, "cache_root": cache_root})
+            if handle.tell() == 0:  # a new file: one header per ledger
+                handle.write(json.dumps(
+                    {"event": "trace_start", "trace_id": self.run_id,
+                     "wall_epoch": self._start,
+                     "mono_epoch": self._start_mono,
+                     "pid": os.getpid()}, sort_keys=True) + "\n")
+            handle.write(span.to_json() + "\n")
 
     def record(self, record: JobRecord) -> None:
         self.records.append(record)
-        payload = {"event": "job", "run_id": self.run_id}
-        payload.update(asdict(record))
-        self._emit(payload)
-        TRACER.manual_span(
-            "jobs.job", duration_s=record.wall_s,
-            job_id=record.job_id, kind=record.kind,
-            status=record.status, app=record.app,
-            dataset=record.dataset,
-            preprocessing=record.preprocessing,
-            scheme=record.scheme, retries=record.retries,
-            worker_pid=record.worker_pid)
+        attrs: Dict[str, object] = asdict(record)
+        wall = float(attrs.pop("wall_s"))  # type: ignore[arg-type]
+        self._emit("jobs.job", time.monotonic() - wall, wall, attrs)
+        TRACER.manual_span("jobs.job", duration_s=wall, **attrs)
 
-    def finish(self) -> Dict[str, object]:
+    def finish(self, workers: int, requests: int,
+               start_s: float) -> Dict[str, object]:
+        """Close the run begun at monotonic ``start_s`` with a
+        ``jobs.run`` span of this writer's counts; returns them plus
+        ``wall_s``."""
         counts = {status: 0 for status in STATUSES}
         for record in self.records:
             counts[record.status] = counts.get(record.status, 0) + 1
         summary: Dict[str, object] = {
-            "event": "run_end", "run_id": self.run_id,
-            "jobs": len(self.records),
-            "wall_s": time.monotonic() - self._start_mono,
+            "run_id": self.run_id, "workers": workers,
+            "requests": requests, "jobs": len(self.records),
             "retries": sum(r.retries for r in self.records),
         }
         summary.update(counts)
-        self._emit(summary)
+        wall = time.monotonic() - start_s
+        self._emit("jobs.run", start_s, wall, dict(summary))
+        summary["wall_s"] = wall
         return summary
 
     @property
@@ -150,45 +147,27 @@ def latest_telemetry(cache_root: str) -> Optional[str]:
     return max(candidates, key=os.path.getmtime, default=None)
 
 
-def read_records(path: str) -> List[Dict[str, object]]:
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 def summarize(path: str) -> Dict[str, object]:
-    """Aggregate one telemetry file into summary counters."""
-    records = read_records(path)
-    jobs = [r for r in records if r.get("event") == "job"]
-    runs = [r for r in records if r.get("event") == "run_start"]
-    ends = [r for r in records if r.get("event") == "run_end"]
+    """Aggregate the ``jobs.job``/``jobs.run`` spans of one trace file
+    (a job ledger or a ``--trace`` file) into summary counters."""
+    _header, spans = read_trace(path)
+    jobs = [s for s in spans if s.name == "jobs.job"]
+    runs = [s for s in spans if s.name == "jobs.run"]
     counts = {status: 0 for status in STATUSES}
-    by_kind: Dict[str, int] = {}
-    wall = 0.0
-    workers = set()
     for job in jobs:
-        status = str(job.get("status", "miss"))
+        status = str(job.attrs.get("status", "miss"))
         counts[status] = counts.get(status, 0) + 1
-        kind = str(job.get("kind", "?"))
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-        wall += float(job.get("wall_s", 0.0))
-        if job.get("worker_pid"):
-            workers.add(job["worker_pid"])
-    slowest = sorted(jobs, key=lambda j: -float(j.get("wall_s", 0.0)))
+    workers = {j.attrs["worker_pid"] for j in jobs
+               if j.attrs.get("worker_pid")}
+    slowest = sorted(jobs, key=lambda j: -j.duration_s)
     executed = counts["miss"] + counts["failed"]
     return {
         "path": path,
-        "runs": len(runs),
         "jobs": len(jobs),
         "by_status": counts,
-        "by_kind": by_kind,
-        "job_wall_s": wall,
-        "run_wall_s": sum(float(r.get("wall_s", 0.0)) for r in ends),
-        "retries": sum(int(j.get("retries", 0)) for j in jobs),
+        "job_wall_s": sum(j.duration_s for j in jobs),
+        "run_wall_s": sum(r.duration_s for r in runs),
+        "retries": sum(int(j.attrs.get("retries", 0)) for j in jobs),
         "workers": len(workers),
         "hit_rate": (counts["hit"] / (counts["hit"] + executed)
                      if counts["hit"] + executed else 0.0),
@@ -209,11 +188,11 @@ def render_summary(summary: Dict[str, object]) -> str:
         f"{summary['workers']} worker(s), "
         f"{summary['retries']} retr(ies)",
     ]
-    slowest = summary.get("slowest") or []
+    slowest: List[Span] = summary["slowest"]  # type: ignore[assignment]
     if slowest:
         lines.append("slowest jobs:")
         for job in slowest:
-            lines.append(f"  {float(job.get('wall_s', 0.0)):7.2f}s  "
-                         f"{job.get('status', '?'):7s} "
-                         f"{job.get('job_id', '?')}")
+            lines.append(f"  {job.duration_s:7.2f}s  "
+                         f"{job.attrs.get('status', '?'):7s} "
+                         f"{job.attrs.get('job_id', '?')}")
     return "\n".join(lines)

@@ -10,9 +10,10 @@ pool workers line up with the parent's timeline when merged.
 
 When the tracer is *inactive* (the default), :meth:`Tracer.span` yields
 a shared null span and times nothing, which is why spans are safe on hot
-paths.  :mod:`repro.jobs.telemetry` job records are mirrored as
-``jobs.job`` spans when the tracer is active, so a ``--jobs``-parallel
-report lands in one coherent JSONL trace.
+paths.  The :mod:`repro.jobs.telemetry` job ledger is a span trace
+of its own (``jobs.job`` spans); its records are mirrored here when
+the tracer is active, so a ``--jobs``-parallel report lands in one
+coherent JSONL trace.
 
 Cross-process protocol: the executor exports :data:`REPRO_TRACE_DIR`
 before spawning pool workers; :func:`~repro.jobs.executor.execute_group`
@@ -172,7 +173,7 @@ class Tracer:
                     parent_id: Optional[str] = None, count: int = 0,
                     **attrs: object) -> Span:
         """Record an interval whose timing was measured elsewhere
-        (telemetry records, pool dispatch envelopes)."""
+        (job records, pool dispatch envelopes)."""
         if not self.active:
             return _DISCARD
         if start_s is None:

@@ -1,19 +1,32 @@
 """The experiment runner: app x scheme x dataset x preprocessing.
 
-One stop for the harness, the CLI and the sweeps: a thin facade over
-one :class:`~repro.stages.StagePricer`, the single pricing path.
-:meth:`Runner.run` prices a cell through the four stages, and
-:meth:`Runner.profiles` returns the assembled iteration profiles of an
-input.  The pricer memoizes one small profile bundle per (app, dataset,
-preprocessing), so the six schemes of a Fig 15 bar group share a
-single stream/replay/compress pass.
+One front end for the harness, the CLI, the sweeps and the benchmarks,
+over the single pricing path (:class:`~repro.stages.StagePricer`) and
+the job layer (:mod:`repro.jobs`).  :meth:`Runner.run` serves a cell
+from prefetched results, else the disk cache, else the staged pricer
+bound to the same store.  That pricer is the job executor's
+per-process one, so ``run``, ``profiles`` and in-process job groups
+share one profile bundle per (app, dataset, preprocessing).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import DEFAULT_SCALE, SystemConfig
+from repro.jobs.cache import NullCache, ResultCache, StoreConfig
+from repro.jobs.fingerprint import job_fingerprint
+from repro.jobs.model import (
+    RunRequest,
+    build_job_graph,
+    canonical_request,
+    params_to_kwargs,
+)
+from repro.jobs.telemetry import (
+    JobRecord,
+    TelemetryWriter,
+    default_telemetry_path,
+)
 from repro.obs import TRACER
 from repro.runtime.traffic import IterationProfile, ModelConfig
 from repro.runtime.workload import Workload
@@ -47,29 +60,47 @@ def sized_model_config(system: SystemConfig, scale: int,
 
 
 class Runner:
-    """Simulation front end over one :class:`~repro.stages.StagePricer`.
+    """Memoizing simulation front end over the job layer.
 
-    The plain runner prices with no disk store (``NullCache``);
-    :class:`~repro.jobs.JobRunner` swaps in the job executor's
-    per-process pricer and a content-addressed cache.
+    The defaults price in-process with no disk store.  ``cache_dir``
+    adds the result/stage store and a job ledger under
+    ``<cache_dir>/telemetry/`` (or ``telemetry_path``); the other job
+    arguments configure the executor :meth:`prefetch` runs.
     """
 
     def __init__(self, scale: int = DEFAULT_SCALE,
-                 system: Optional[SystemConfig] = None) -> None:
+                 system: Optional[SystemConfig] = None, jobs: int = 1,
+                 cache_dir: Optional[str] = None,
+                 telemetry_path: Optional[str] = None,
+                 timeout: Optional[float] = None, retries: int = 1,
+                 progress: Optional[Callable[[str], None]] = None,
+                 partitions: int = 1) -> None:
         self.scale = scale
         self.system = system if system is not None \
             else SystemConfig().scaled(scale)
-        self._pricer = None
+        self.jobs = jobs
+        self.partitions = partitions
+        self.cache = ResultCache(cache_dir) if cache_dir else \
+            NullCache()
+        if telemetry_path is None and cache_dir:
+            telemetry_path = default_telemetry_path(cache_dir)
+        self.telemetry_path = telemetry_path
+        self.timeout = timeout
+        self.retries = retries
+        self.progress = progress
+        self._results: Dict[RunRequest, RunMetrics] = {}
+        self._telemetry: Optional[TelemetryWriter] = None
         self._workloads: Dict[Tuple[str, str, str], Workload] = {}
 
     @property
     def pricer(self):
-        """The :class:`~repro.stages.StagePricer` every cell prices on."""
-        if self._pricer is None:
-            from repro.stages import StagePricer
-            self._pricer = StagePricer(scale=self.scale,
-                                       system=self.system)
-        return self._pricer
+        """The job executor's per-process
+        :class:`~repro.stages.StagePricer` for this model and store."""
+        from repro.jobs.executor import _pricer_for
+        return _pricer_for(self.scale, self.system,
+                           StoreConfig.from_cache(
+                               self.cache,
+                               stream_partitions=self.partitions))
 
     def config_for(self, workload: Workload) -> ModelConfig:
         """Model config with the LLC sized for this input (see above)."""
@@ -97,26 +128,65 @@ class Runner:
 
     # -- simulation -------------------------------------------------------------
 
+    def _writer(self) -> TelemetryWriter:
+        """The one job ledger of every prefetch/run of this runner."""
+        if self._telemetry is None:
+            self._telemetry = TelemetryWriter(path=self.telemetry_path)
+        return self._telemetry
+
+    def prefetch(self, requests: Iterable[RunRequest]) -> int:
+        """Execute (or load from cache) a batch of requests up front;
+        returns the number of requests now resident in memory."""
+        todo = [r for r in requests if r not in self._results]
+        if todo:
+            from repro.jobs.executor import JobExecutor
+            executor = JobExecutor(
+                scale=self.scale, system=self.system, jobs=self.jobs,
+                cache=self.cache, telemetry=self._writer(),
+                timeout=self.timeout, retries=self.retries,
+                progress=self.progress, partitions=self.partitions)
+            self._results.update(executor.run(todo))
+        return len(self._results)
+
     def run(self, app: str, scheme, dataset: str,
             preprocessing: str = "none", **kwargs) -> RunMetrics:
         """Simulate one configuration.
 
         ``scheme`` is a name (including ablation brackets, e.g.
         ``phi+spzip[parts=adjacency]``) or a
-        :class:`~repro.schemes.SchemeSpec`; kwargs feed the legacy
-        ablation knobs (``parts``, ``decoupled_only``).
+        :class:`~repro.schemes.SchemeSpec`; the legacy ablation kwargs
+        (``parts``, ``decoupled_only``) fold into the canonical scheme
+        name, so both spellings share one memo entry and cache key.
         """
-        from repro.schemes import resolve
-        spec = resolve(scheme, **kwargs)
+        request = canonical_request(app, scheme, dataset, preprocessing,
+                                    **kwargs)
+        hit = self._results.get(request)
+        if hit is not None:
+            return hit
         # One span per (app, scheme, input) cell, tagged with the
         # canonical SchemeSpec string — the unit the paper's sweep (and
         # `repro perf diff`) attributes wall time to.
-        with TRACER.span("runner.cell", app=app,
-                         scheme=spec.canonical(), dataset=dataset,
-                         preprocessing=preprocessing):
-            with TRACER.span("runner.price"):
-                return self.pricer.price(app, spec, dataset,
-                                         preprocessing)
+        with TRACER.span("runner.cell", app=app, scheme=request.scheme,
+                         dataset=dataset, preprocessing=preprocessing):
+            graph = build_job_graph([request])
+            job = graph.jobs[graph.request_jobs[request]]
+            key = job_fingerprint(job, self.scale, self.system)
+            metrics = self.cache.get(key)
+            status = "hit"
+            if metrics is None:  # frozen stage artifacts still reused
+                with TRACER.span("runner.price"):
+                    metrics = self.pricer.price(
+                        app, request.scheme, dataset, preprocessing,
+                        **params_to_kwargs(request.params))
+                self.cache.put(key, metrics)
+                status = "miss"
+        if self.telemetry_path:
+            self._writer().record(JobRecord(
+                job_id=job.job_id, kind="price", status=status,
+                app=app, dataset=dataset, preprocessing=preprocessing,
+                scheme=request.scheme, cache_key=key))
+        self._results[request] = metrics
+        return metrics
 
     def run_all_schemes(self, app: str, dataset: str,
                         preprocessing: str = "none",

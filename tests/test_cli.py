@@ -7,6 +7,16 @@ import pytest
 from repro.cli import build_parser, main
 
 
+@pytest.fixture
+def fresh_pricers(monkeypatch):
+    """Price on new pricers, as a fresh ``python -m repro`` process
+    would: runners share the job executor's per-process pricers, so a
+    cell priced earlier in this process is a memo hit with no pricing
+    spans beneath it."""
+    from repro.jobs import executor
+    monkeypatch.setattr(executor, "_WORKER_PRICERS", {})
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -35,6 +45,14 @@ class TestParser:
     def test_serve_rejects_nonpositive_workers(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--workers", "0"])
+
+    @pytest.mark.parametrize("flag", [["--timeout", "0"],
+                                      ["--timeout", "-1"],
+                                      ["--retries", "-1"]],
+                             ids=["timeout=0", "timeout<0", "retries<0"])
+    def test_report_rejects_bad_timeout_and_retries(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", *flag])
 
 
 class TestCommands:
@@ -159,18 +177,18 @@ class TestReportOrchestration:
         cold = self._report(tmp_path, "cold.md", "--cache-dir", cache)
         warm = self._report(tmp_path, "warm.md", "--cache-dir", cache)
         assert warm == cold
-        from repro.jobs import read_records
+        from repro.obs import read_trace
         path = latest_telemetry(cache)
         summary = summarize(path)
         assert summary["by_status"]["miss"] == 0
         assert summary["by_status"]["failed"] == 0
         assert summary["hit_rate"] == 1.0
         # Warm runs never profile: every profile job is skipped.
-        profile_jobs = [r for r in read_records(path)
-                        if r.get("event") == "job"
-                        and r.get("kind") == "profile"]
+        _header, spans = read_trace(path)
+        profile_jobs = [s for s in spans if s.name == "jobs.job"
+                        and s.attrs.get("kind") == "profile"]
         assert profile_jobs
-        assert all(r["status"] == "skipped" for r in profile_jobs)
+        assert all(s.attrs["status"] == "skipped" for s in profile_jobs)
 
     def test_jobs_command_summarizes_latest_run(self, tmp_path,
                                                 capsys):
@@ -182,12 +200,35 @@ class TestReportOrchestration:
         assert "hit rate" in out
         assert "entries" in out
 
+    def test_jobs_command_reads_a_report_trace(self, tmp_path, capsys):
+        """The job records mirrored into a `report --trace` file
+        summarize to the same counts as that run's ledger."""
+        cache = str(tmp_path / "cache")
+        trace = str(tmp_path / "t.jsonl")
+        self._report(tmp_path, "seed.md", "--cache-dir", cache)
+        self._report(tmp_path, "run.md", "--cache-dir", cache,
+                     "--experiments", "fig07", "fig08", "fig15a",
+                     "--trace", trace)
+        capsys.readouterr()
+
+        def jobs_line(*extra):
+            assert main(["jobs", "--cache-dir", cache, *extra]) == 0
+            out = capsys.readouterr().out
+            return next(line for line in out.splitlines()
+                        if line.startswith("jobs:"))
+
+        from_ledger = jobs_line()
+        assert "hit=" in from_ledger and "hit=0" not in from_ledger
+        assert "miss=0" not in from_ledger
+        assert jobs_line("--telemetry", trace) == from_ledger
+
     def test_jobs_command_without_telemetry_fails_cleanly(
             self, tmp_path, capsys):
         assert main(["jobs", "--cache-dir",
                      str(tmp_path / "empty")]) == 1
 
 
+@pytest.mark.usefixtures("fresh_pricers")
 class TestTraceSummary:
     def test_trace_prints_stage_summary(self, tmp_path, capsys):
         assert main(["simulate", "--app", "dc", "--scheme", "phi",
@@ -211,6 +252,7 @@ class TestTraceSummary:
                 "harness.experiment"} <= rows
 
 
+@pytest.mark.usefixtures("fresh_pricers")
 class TestTrace:
     def test_simulate_trace_has_cell_and_stage_spans(self, tmp_path,
                                                      capsys):

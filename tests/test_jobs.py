@@ -9,7 +9,6 @@ from repro.config import SystemConfig
 from repro.jobs import (
     JobExecutionError,
     JobExecutor,
-    JobRunner,
     NullCache,
     ResultCache,
     RunRequest,
@@ -22,6 +21,7 @@ from repro.jobs import (
     latest_telemetry,
     summarize,
 )
+from repro.sim import Runner
 
 SCALE = 65536
 
@@ -207,34 +207,60 @@ class TestResultCache:
 class TestTelemetry:
     def test_jsonl_records_and_summary(self, tmp_path):
         from repro.jobs import JobRecord, render_summary
+        from repro.obs import read_trace
         path = str(tmp_path / "run.jsonl")
         writer = TelemetryWriter(path=path)
-        writer.start(jobs=2, requests=3, cache_root=None)
         writer.record(JobRecord(job_id="profile:a", kind="profile",
                                 status="miss", wall_s=1.0,
                                 worker_pid=11))
         writer.record(JobRecord(job_id="price:a/x", kind="price",
-                                status="hit"))
+                                status="hit", cache_key="k1"))
         writer.record(JobRecord(job_id="price:a/y", kind="price",
                                 status="miss", wall_s=0.5, retries=1,
-                                worker_pid=11))
-        writer.finish()
+                                worker_pid=11, error=""))
+        writer.finish(workers=2, requests=3, start_s=0.0)
+        # The ledger is a span trace: a header, one jobs.job span per
+        # record, and a closing jobs.run span with the counts.
         lines = [json.loads(line)
                  for line in open(path).read().splitlines()]
         assert [line["event"] for line in lines] == \
-            ["run_start", "job", "job", "job", "run_end"]
+            ["trace_start", "span", "span", "span", "span"]
+        header, spans = read_trace(path)
+        assert header["trace_id"] == writer.run_id
+        assert [s.name for s in spans] == ["jobs.job"] * 3 + ["jobs.run"]
+        assert spans[0].duration_s == 1.0
+        assert spans[1].attrs["cache_key"] == "k1"
+        assert spans[2].attrs["error"] == ""
+        run = spans[-1]
+        assert (run.attrs["workers"], run.attrs["requests"]) == (2, 3)
+        assert (run.attrs["hit"], run.attrs["miss"]) == (1, 2)
         summary = summarize(path)
         assert summary["jobs"] == 3
         assert summary["by_status"] == {"hit": 1, "miss": 2,
                                         "skipped": 0, "failed": 0}
         # Run duration comes from the monotonic clock: it can never be
         # negative, even if the wall clock were stepped mid-run.
-        assert float(lines[-1]["wall_s"]) >= 0.0
+        assert run.duration_s >= 0.0
         assert summary["retries"] == 1
         assert summary["workers"] == 1
         assert summary["hit_rate"] == pytest.approx(1 / 3)
         text = render_summary(summary)
         assert "hit=1" in text and "profile:a" in text
+
+    def test_records_mirror_into_active_tracer(self):
+        from repro.jobs import JobRecord
+        from repro.obs import TRACER
+        TRACER.start()
+        try:
+            TelemetryWriter(path=None).record(JobRecord(
+                job_id="price:a/x", kind="price", status="failed",
+                wall_s=0.25, cache_key="k", error="boom"))
+        finally:
+            TRACER.stop()
+        (span,) = TRACER.spans
+        assert span.name == "jobs.job" and span.duration_s == 0.25
+        assert span.attrs["cache_key"] == "k"
+        assert span.attrs["error"] == "boom"
 
     def test_latest_telemetry_picks_newest(self, tmp_path):
         root = str(tmp_path)
@@ -308,11 +334,46 @@ class TestExecutor:
         with pytest.raises(ValueError):
             JobExecutor(scale=SCALE, jobs=0)
 
+    @pytest.mark.parametrize("knob", [{"timeout": 0.0},
+                                      {"timeout": -1.0},
+                                      {"retries": -1}],
+                             ids=["timeout=0", "timeout<0", "retries<0"])
+    def test_rejects_bad_timeout_and_retries(self, knob):
+        with pytest.raises(ValueError):
+            JobExecutor(scale=SCALE, jobs=2, **knob)
 
-class TestJobRunner:
+    def test_failed_run_leaves_its_ledger(self, tmp_path, capsys):
+        """A run that raises still leaves its failed job records (and
+        a closing jobs.run span) on disk for `repro jobs`."""
+        from repro.cli import main
+        from repro.obs import read_trace
+        runner = Runner(scale=SCALE, jobs=1, retries=2,
+                        cache_dir=str(tmp_path))
+        with pytest.raises(JobExecutionError):
+            runner.prefetch([RunRequest("dc", "no-such-scheme", "arb")])
+        path = latest_telemetry(str(tmp_path))
+        _header, spans = read_trace(path)
+        failed = [s for s in spans if s.name == "jobs.job"
+                  and s.attrs["status"] == "failed"]
+        assert failed and all(s.attrs["retries"] == 2 for s in failed)
+        assert all("no-such-scheme" in s.attrs["error"] for s in failed)
+        assert [s.name for s in spans][-1] == "jobs.run"
+        capsys.readouterr()
+        assert main(["jobs", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"failed={len(failed)}" in out
+
+
+class TestRunner:
+    """Runner's job layer: prefetch, memo, cache, ledger."""
+
+    def test_job_runner_is_runner(self):
+        import repro.jobs
+        import repro.sim
+        assert repro.jobs.JobRunner is repro.sim.Runner
+
     def test_prefetch_then_run_hits_memory(self, tmp_path):
-        runner = JobRunner(scale=SCALE, jobs=1,
-                           cache_dir=str(tmp_path))
+        runner = Runner(scale=SCALE, jobs=1, cache_dir=str(tmp_path))
         assert runner.prefetch(REQUESTS) == len(REQUESTS)
         metrics = runner.run("dc", "phi", "arb")
         assert metrics.scheme == "phi"
@@ -320,17 +381,15 @@ class TestJobRunner:
         assert summary["by_status"]["miss"] == len(REQUESTS) + 1
 
     def test_unplanned_run_falls_back_and_caches(self, tmp_path):
-        runner = JobRunner(scale=SCALE, jobs=1,
-                           cache_dir=str(tmp_path))
+        runner = Runner(scale=SCALE, jobs=1, cache_dir=str(tmp_path))
         first = runner.run("dc", "ub", "arb")
-        fresh = JobRunner(scale=SCALE, jobs=1,
-                          cache_dir=str(tmp_path))
+        fresh = Runner(scale=SCALE, jobs=1, cache_dir=str(tmp_path))
         assert fresh.run("dc", "ub", "arb") == first
         records = fresh._telemetry.records
         assert [r.status for r in records] == ["hit"]
 
     def test_is_a_drop_in_runner(self):
-        runner = JobRunner(scale=SCALE)
+        runner = Runner(scale=SCALE)
         workload = runner.workload("dc", "arb")
         assert runner.profiles("dc", "arb")
         assert runner.config_for(workload) == \

@@ -214,6 +214,31 @@ class TestSharedGraphStore:
             shared.disable_graph_store()
             clear_cache()
 
+    def test_truncated_array_is_a_counted_miss(self, graph_store):
+        """A published array cut short reads as a miss, not a crash:
+        the manifest and the short array are dropped and counted, the
+        rebuild republishes, and a fresh store maps the healed graph."""
+        import os
+        from repro.graph.csr import CsrGraph
+        rng = np.random.default_rng(3)
+        built = CsrGraph.from_edges(500, rng.integers(0, 500, 4000),
+                                    rng.integers(0, 500, 4000))
+        shared.cached_graph("t/truncated", lambda: built)
+        neighbors = graph_store.get_graph("t/truncated")._store_paths[1]
+        graph_store.release()
+        with open(neighbors, "r+b") as handle:
+            handle.truncate(os.path.getsize(neighbors) // 2)
+        assert graph_store.get_graph("t/truncated") is None
+        assert graph_store.corrupt_dropped == 1
+        assert not os.path.exists(neighbors)
+        rebuilt = shared.cached_graph("t/truncated", lambda: built)
+        assert rebuilt is built  # rebuilt and republished
+        fresh = shared.GraphStore(graph_store.root)
+        healed = fresh.get_graph("t/truncated")
+        assert fresh.corrupt_dropped == 0
+        assert healed.content_digest() == built.content_digest()
+        np.testing.assert_array_equal(healed.neighbors, built.neighbors)
+
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_delta_rotates_digest_mid_pool(self, graph_store, method):
         """A graph delta applied while a pool is live publishes the
